@@ -36,9 +36,14 @@ pub struct Host {
 }
 
 impl Host {
-    fn start() -> Result<Host, String> {
+    fn start(telemetry: bool) -> Result<Host, String> {
         let epoch = Instant::now();
-        let service = Service::with_telemetry(ServiceConfig::default(), Telemetry::enabled());
+        let telemetry = if telemetry {
+            Telemetry::enabled()
+        } else {
+            Telemetry::disabled()
+        };
+        let service = Service::with_telemetry(ServiceConfig::default(), telemetry);
         let server = TcpServer::bind_with("127.0.0.1:0", service.handle(), TcpConfig::default())
             .map_err(|e| format!("cannot bind loopback: {e}"))?;
         let addr = server.local_addr().to_string();
@@ -138,15 +143,16 @@ fn trace_request(id: u64) -> String {
     format!("{{\"verb\":\"trace\",\"job\":{id}}}")
 }
 
-/// Starts a service and warms it over the workload's distinct circuits.
-/// Returns the host and the set-up time in seconds.
+/// Starts a service, with telemetry on as `qca-serve` runs it or off, and
+/// warms it over the workload's distinct circuits. Returns the host and
+/// the set-up time in seconds.
 ///
 /// # Errors
 ///
 /// Start-up failures and warm-up jobs that do not complete.
-pub fn set_up(w: &Workload) -> Result<(Host, f64), String> {
+pub fn set_up(w: &Workload, telemetry: bool) -> Result<(Host, f64), String> {
     let t0 = Instant::now();
-    let host = Host::start()?;
+    let host = Host::start(telemetry)?;
     let mut conn = Conn::connect(&host.addr)?;
     for job in &w.warmup {
         let reply = conn.ask(&job.line)?;

@@ -135,21 +135,10 @@ pub struct ReplayCounts {
     pub per_engine: BTreeMap<&'static str, (u64, f64)>,
     /// State evolutions per state-vector job.
     pub evolutions: Vec<f64>,
-    /// Histogram digest per job, in job order.
-    pub digests: Vec<u64>,
-    /// In-process service digest per job, in job order.
-    pub service_digests: Vec<u64>,
-}
-
-/// The service's shard count for a state-vector or stabilizer job.
-pub fn shard_count(shots: u64) -> u64 {
-    let config = ServiceConfig::default();
-    let (workers, min_shots) = (config.workers as u64, config.shard_min_shots);
-    if workers > 1 && shots >= min_shots {
-        workers.min(shots / min_shots.max(1)).max(1)
-    } else {
-        1
-    }
+    /// Histogram digest per job, by index in the whole job list.
+    pub digests: BTreeMap<usize, u64>,
+    /// In-process service digest per job, by index in the whole job list.
+    pub service_digests: BTreeMap<usize, u64>,
 }
 
 fn time<T>(
@@ -166,12 +155,19 @@ fn time<T>(
 }
 
 /// Replays the workload's jobs in-process, in order, until `budget` has
-/// passed.
+/// passed. `shards` holds, by index in the whole job list, the shard count
+/// the service reported for each job of the traced pass; jobs without one
+/// are skipped.
 ///
 /// # Errors
 ///
 /// A layer call that fails.
-pub fn replay(w: &Workload, tracer: &mut Tracer, budget: Duration) -> Result<ReplayCounts, String> {
+pub fn replay(
+    w: &Workload,
+    shards: &BTreeMap<usize, u64>,
+    tracer: &mut Tracer,
+    budget: Duration,
+) -> Result<ReplayCounts, String> {
     let started = Instant::now();
     let service = Service::with_telemetry(ServiceConfig::default(), Telemetry::enabled());
     let handle = service.handle();
@@ -182,6 +178,9 @@ pub fn replay(w: &Workload, tracer: &mut Tracer, budget: Duration) -> Result<Rep
             if started.elapsed() >= budget {
                 break;
             }
+            let Some(&shards) = shards.get(&j) else {
+                continue;
+            };
             let jid = j as u64;
             let root = tracer.begin("job", None, jid);
             let request = time(tracer, "wire.decode", root, jid, || {
@@ -224,7 +223,6 @@ pub fn replay(w: &Workload, tracer: &mut Tracer, budget: Duration) -> Result<Rep
                 sim.plan_engine(plan)
             })
             .map_err(|e| e.to_string())?;
-            let shards = shard_count(spec.shots);
             let mut hist = ShotHistogram::new();
             let mut run_us = 0.0;
             for t in 0..shards {
@@ -252,7 +250,7 @@ pub fn replay(w: &Workload, tracer: &mut Tracer, budget: Duration) -> Result<Rep
                         spec.shots as f64
                     });
             }
-            counts.digests.push(digest(&pairs(&hist)));
+            counts.digests.insert(j, digest(&pairs(&hist)));
             let id = time(tracer, "service.submit", root, jid, || handle.submit(spec))
                 .map_err(|e| e.to_string())?;
             let outcome = time(tracer, "service.wait", root, jid, || {
@@ -261,7 +259,7 @@ pub fn replay(w: &Workload, tracer: &mut Tracer, budget: Duration) -> Result<Rep
             .map_err(|e| e.to_string())?;
             counts
                 .service_digests
-                .push(digest(&pairs(&outcome.histogram)));
+                .insert(j, digest(&pairs(&outcome.histogram)));
             tracer.end(root);
         }
         Ok(())

@@ -2,10 +2,13 @@
 //! `cargo test --release --manifest-path e2ebench/Cargo.toml`: the smoke
 //! test simulates 18-qubit circuits.
 
+use e2ebench::check::{distribution_checks, exact_distribution, oracle_histogram};
 use e2ebench::gen::{workload, DECLARED_WORKLOADS, WORKLOADS};
 use e2ebench::{run, Opts, END_TO_END, PER_LAYER, PRINTED_ONLY};
 use qca_telemetry::json::{self, JsonValue};
-use std::collections::BTreeSet;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn benchmark_json() -> JsonValue {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
@@ -122,6 +125,74 @@ fn interaction_map_covers_every_per_layer_metric() {
         covered.push(metric.to_string());
     }
     assert_eq!(covered, PER_LAYER);
+}
+
+/// `shots` outcomes drawn from `p`.
+fn sample(p: &[f64], shots: u64, seed: u64) -> BTreeMap<u64, u64> {
+    let cumulative: Vec<f64> = p
+        .iter()
+        .scan(0.0, |acc, x| {
+            *acc += x;
+            Some(*acc)
+        })
+        .collect();
+    let total = cumulative[cumulative.len() - 1];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = BTreeMap::new();
+    for _ in 0..shots {
+        let u = rng.gen::<f64>() * total;
+        let bits = cumulative.partition_point(|&c| c <= u).min(p.len() - 1);
+        *out.entry(bits as u64).or_insert(0) += 1;
+    }
+    out
+}
+
+/// Each distribution check passes on a right histogram, and each one fails
+/// on a histogram with a qubit flipped or two qubits swapped, where that
+/// error is visible to it (a swap keeps the Hamming weight).
+#[test]
+fn distribution_checks_reject_flipped_and_swapped_qubits() {
+    let w = workload("sim-statevector", 1, 0.5).expect("known workload");
+    for name in ["qpe-16", "qaoa-16"] {
+        let c = w.circuits.iter().find(|c| c.name == name).expect(name);
+        let (p, _) = exact_distribution(&c.source).expect("reference");
+        let right = sample(&p, 90_000, 7);
+        let checks = distribution_checks(&right, &p, None);
+        assert!(checks.iter().all(|(_, ok)| *ok), "{name}: {checks:?}");
+        let kind = |label: &str| label.split(':').next().unwrap_or("").to_string();
+        let mut rejected: BTreeSet<String> = BTreeSet::new();
+        let flip = |b: u64| b ^ 1;
+        let swap = |b: u64| {
+            let (b0, b12) = (b & 1, (b >> 12) & 1);
+            (b & !(1 | 1 << 12)) | b12 | b0 << 12
+        };
+        for (error, map) in [("flip", &flip as &dyn Fn(u64) -> u64), ("swap", &swap)] {
+            let mut wrong = BTreeMap::new();
+            for (&bits, &count) in &right {
+                *wrong.entry(map(bits)).or_insert(0) += count;
+            }
+            let checks = distribution_checks(&wrong, &p, None);
+            assert!(
+                checks.iter().any(|(_, ok)| !ok),
+                "{name}: a {error} passes every check: {checks:?}"
+            );
+            rejected.extend(checks.iter().filter(|(_, ok)| !ok).map(|(l, _)| kind(l)));
+        }
+        let all: BTreeSet<String> = checks.iter().map(|(l, _)| kind(l)).collect();
+        assert_eq!(rejected, all, "{name}: a check never fails");
+    }
+}
+
+/// The evolve-once oracle equals the per-shot oracle on a circuit whose
+/// measurements all come last.
+#[test]
+fn evolve_once_oracle_matches_the_oracle() {
+    let w = workload("compile-cold", 1, 0.5).expect("known workload");
+    let program = cqasm::Program::parse(&w.circuits[0].source).expect("parses");
+    assert_eq!(
+        oracle_histogram(&program, 64, 99),
+        qca_core::conform::reference_histogram(&program, 64, 99)
+    );
 }
 
 /// Smoke mode: every workload once, briefly, untraced and traced; every
