@@ -235,8 +235,8 @@ fn serve_mix(seed: u64, seconds: f64) -> Workload {
             })
             .collect()
     };
-    // The three phases repeat in rounds, so each phase's figures are the
-    // middle of several samples spread over the whole run.
+    // The three phases repeat in rounds, so each phase's figures come
+    // from several windows spread over the whole run.
     let phase_s = 0.3 * seconds / SERVE_ROUNDS as f64;
     let burst_jobs = (BURST_JOBS_PER_S * seconds / SERVE_ROUNDS as f64).ceil() as usize;
     let mut phases = Vec::new();

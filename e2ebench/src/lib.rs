@@ -36,11 +36,15 @@ pub const SETUPS: usize = 5;
 /// percentile is marked invalid.
 pub const LAG_LIMIT_US: f64 = 2_000.0;
 
-/// A closed loop stops taking jobs after this many times `--seconds`, so
-/// a traced run's three passes end in bounded time on a slow host.
+/// A closed loop stops taking jobs after this many times the seconds its
+/// job list was made for, so a run ends in bounded time on a slow host.
 pub const CAP: f64 = 2.0;
-/// The traced run's replay stops after this many times `--seconds`.
+/// The traced run's replay stops after this many times its job list's
+/// seconds.
 pub const REPLAY_CAP: f64 = 1.5;
+/// A traced run's job list is that of a run this share of `--seconds`
+/// long.
+pub const TRACE_SHARE: f64 = 0.5;
 
 /// The span file holds the spans of this many jobs per pass; the tables
 /// use every span.
@@ -315,7 +319,8 @@ fn end_to_end(w: &Workload, setups: &[f64], pass: &Pass, rss: f64) -> Vec<Metric
     let (jobs_per_s, n) = pass_jobs_per_s(w, pass);
     metrics.push(
         Metric::new("jobs_per_s", jobs_per_s, "1/s", n).note(format!(
-            "middle of window rates, phase {}",
+            "middle of {} window rates, phase {}",
+            windows(pass, throughput_kind(w)).len(),
             throughput_kind(w)
         )),
     );
@@ -660,8 +665,15 @@ fn digests_of(pass: &Pass) -> BTreeMap<usize, Option<u64>> {
 ///
 /// Set-up and wire failures (wrong results are reported, not errors).
 pub fn run(opts: &Opts) -> Result<RunReport, String> {
-    let w = gen::workload(&opts.workload, opts.seed, opts.seconds)?;
-    let cap = Duration::from_secs_f64(CAP * opts.seconds);
+    // A traced run makes three passes and a replay, so each covers a job
+    // list for a share of `--seconds`.
+    let seconds = if opts.trace {
+        TRACE_SHARE * opts.seconds
+    } else {
+        opts.seconds
+    };
+    let w = gen::workload(&opts.workload, opts.seed, seconds)?;
+    let cap = Duration::from_secs_f64(CAP * seconds);
     let mut lines = vec![
         report::host_fingerprint(),
         format!(
@@ -698,6 +710,13 @@ pub fn run(opts: &Opts) -> Result<RunReport, String> {
             "fail_ratio = {fail_ratio} ({} of {} jobs)",
             pass.failed, pass.attempted
         ));
+        let ws = windows(&pass, throughput_kind(&w));
+        lines.push(format!(
+            "windows of phase {}: rates {:.2?} 1/s, medians {:.0?} us",
+            throughput_kind(&w),
+            ws.iter().map(|w| w.jobs_per_s).collect::<Vec<_>>(),
+            ws.iter().map(|w| median(&w.e2e)).collect::<Vec<_>>()
+        ));
         let metrics = end_to_end(&w, &setups, &pass, rss);
         return Ok(RunReport {
             correct: pass.failures.is_empty(),
@@ -732,7 +751,7 @@ pub fn run(opts: &Opts) -> Result<RunReport, String> {
         &w,
         &shards,
         &mut tracer,
-        Duration::from_secs_f64(REPLAY_CAP * opts.seconds),
+        Duration::from_secs_f64(REPLAY_CAP * seconds),
     )?;
     let mut service_tracer = Tracer::new(host_epoch);
     service_spans(&traced, host_epoch, &mut service_tracer);
@@ -763,7 +782,7 @@ pub fn run(opts: &Opts) -> Result<RunReport, String> {
         }
     }
     lines.push(format!(
-        "determinism: {compared} jobs run in every pass (the replay stops after {REPLAY_CAP} x --seconds); digests equal across untraced, traced, replay and in-process service runs on {} of them",
+        "determinism: {compared} jobs run in every pass (the replay stops after {REPLAY_CAP} x {seconds} s); digests equal across untraced, traced, replay and in-process service runs on {} of them",
         compared - mismatched
     ));
     lines.extend(traced.check_lines.iter().cloned());

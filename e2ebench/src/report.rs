@@ -29,10 +29,10 @@ pub fn median_tail(values: &[f64]) -> (f64, f64, f64) {
 }
 
 /// The most windows a single closed-loop phase is split into.
-pub const WINDOWS: usize = 9;
+pub const WINDOWS: usize = 24;
 /// The fewest samples a window holds; with fewer, a window's figures are
 /// too lumpy to help, and figures are taken over all samples.
-pub const WINDOW_MIN: usize = 100;
+pub const WINDOW_MIN: usize = 40;
 
 /// Splits `0..n` into up to [`WINDOWS`] consecutive windows of at least
 /// [`WINDOW_MIN`] samples (one window when `n` is smaller).
