@@ -214,24 +214,12 @@ impl Pooled {
 pub fn exact_distribution(source: &str) -> Distribution {
     let program = Program::parse(source).map_err(|e| e.to_string())?;
     let mut state = StateVector::zero_state(program.qubit_count());
-    fn apply(state: &mut StateVector, ins: &Instruction) -> Result<(), String> {
+    for ins in program.flat_instructions() {
         match ins {
-            Instruction::Gate(g) => {
-                let idx: Vec<usize> = g.qubits.iter().map(|q| q.index()).collect();
-                reference::apply_gate(state, &g.kind, &idx);
-            }
-            Instruction::Bundle(inner) => {
-                for i in inner {
-                    apply(state, i)?;
-                }
-            }
+            _ if is_gate(ins) => apply_gates(&mut state, ins),
             Instruction::MeasureAll | Instruction::Wait(_) | Instruction::Display => {}
             other => return Err(format!("unexpected instruction {other:?}")),
         }
-        Ok(())
-    }
-    for ins in program.flat_instructions() {
-        apply(&mut state, ins)?;
     }
     Ok((
         state.amplitudes().iter().map(|a| a.norm_sqr()).collect(),

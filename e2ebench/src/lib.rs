@@ -9,11 +9,12 @@
 //! `--trace 0`, the per-layer metrics with `--trace 1`. Metrics it does not
 //! declare are printed above that line.
 //!
-//! The traced run (`--trace 1`) runs the workload twice through the
-//! service (untraced, then reading each job's `trace` record), replays the
-//! jobs in-process through each layer's public calls, writes the spans as
-//! a Chrome trace under `.bench_out/`, and prints a self-time table per
-//! layer with the residual and the tracing overhead.
+//! The traced run (`--trace 1`) runs the workload three times through the
+//! service (as `qca-serve` runs by default, with telemetry off, and
+//! reading each job's `trace` record), replays the jobs in-process through
+//! each layer's public calls, writes the spans as a Chrome trace under
+//! `.bench_out/`, and prints a self-time table per layer with the residual
+//! and the telemetry and tracing overheads.
 
 pub mod check;
 pub mod drive;
