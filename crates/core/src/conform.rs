@@ -20,9 +20,10 @@
 //! - **unfused plan** — the same simulator with the fusion stage
 //!   disabled, so fused and unfused compilation are pinned to the oracle
 //!   independently;
-//! - **sharded** — the same plan split into shot ranges via
-//!   [`qxsim::Simulator::run_shot_range`] (the service's shard primitive)
-//!   and merged out of order;
+//! - **sharded** — the same plan prepared once
+//!   ([`qxsim::Simulator::prepare`]) and split into shot ranges via
+//!   [`qxsim::Prepared::sample_range`] (the service's shard primitive),
+//!   merged out of order;
 //! - **tableau** — the CHP stabilizer executor, forced via
 //!   [`qxsim::EngineSelect::Tableau`], on every Clifford-class case;
 //! - **Pauli frames** — the bit-packed frame sampler, forced via
@@ -587,13 +588,16 @@ fn check_engines(
     let plan = sim
         .compile(program)
         .map_err(|e| format!("{stage}/shard compile: {e}"))?;
+    let prepared = sim
+        .prepare(&plan, 2)
+        .map_err(|e| format!("{stage}/shard prepare: {e}"))?;
     let cut_a = shots / 3;
     let cut_b = shots - shots / 4;
     let mut sharded = ShotHistogram::new();
     // Merge out of order: shard identity must not depend on range order.
     for (lo, hi) in [(cut_b, shots), (0, cut_a), (cut_a, cut_b)] {
         if lo < hi {
-            sharded.merge(&sim.run_shot_range(&plan, lo, hi));
+            sharded.merge(&prepared.sample_range(lo, hi));
         }
     }
     diff_histograms(&format!("{stage}/sharded vs oracle"), &oracle, &sharded)?;

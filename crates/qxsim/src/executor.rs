@@ -334,7 +334,7 @@ impl Simulator {
     ///
     /// Returns [`ExecuteError::Invalid`] if the program fails validation.
     pub fn run_shots(&self, program: &Program, shots: u64) -> Result<ShotHistogram, ExecuteError> {
-        self.run_shots_impl(program, shots, 1)
+        self.run_shots_impl(program, shots, auto_threads(), 1)
     }
 
     /// Runs the program `shots` times across `threads` worker threads.
@@ -352,7 +352,8 @@ impl Simulator {
         shots: u64,
         threads: usize,
     ) -> Result<ShotHistogram, ExecuteError> {
-        self.run_shots_impl(program, shots, threads.max(1))
+        let threads = threads.max(1);
+        self.run_shots_impl(program, shots, threads, threads)
     }
 
     /// Applies the fault-injection configuration to a `shots`-shot run:
@@ -377,16 +378,15 @@ impl Simulator {
     }
 
     /// Records the threads-vs-serial dispatch decision the state-vector
-    /// kernels will make for this plan (uniform across a run: it depends
-    /// only on the qubit count, the [`par_min_qubits`] threshold and the
-    /// probed host parallelism).
-    fn record_sweep_decision(&self, qubits: usize) {
+    /// kernels make for a run granted `threads` kernel threads (uniform
+    /// across the run: it depends only on the qubit count, the
+    /// [`par_min_qubits`] threshold and the grant).
+    fn record_sweep_decision(&self, qubits: usize, threads: usize) {
         if !self.telemetry.is_enabled() {
             return;
         }
         let threshold = par_min_qubits();
-        let kernel_threads = auto_threads();
-        let parallel = qubits >= threshold && kernel_threads > 1;
+        let parallel = qubits >= threshold && threads > 1;
         self.telemetry.incr_labeled(
             "qxsim.parallel_sweep",
             if parallel { "parallel" } else { "serial" },
@@ -398,7 +398,7 @@ impl Simulator {
             .record_value("qxsim.parallel_sweep.par_min_qubits", threshold as f64);
         self.telemetry.record_value(
             "qxsim.parallel_sweep.kernel_threads",
-            if parallel { kernel_threads as f64 } else { 1.0 },
+            if parallel { threads as f64 } else { 1.0 },
         );
     }
 
@@ -446,21 +446,27 @@ impl Simulator {
         program: &Program,
         shots: u64,
         threads: usize,
+        split: usize,
     ) -> Result<ShotHistogram, ExecuteError> {
         let _run_span = self.telemetry.span("qxsim", "run_shots");
         let plan = {
             let _span = self.telemetry.span("qxsim", "plan_compile");
             self.compile(program)?
         };
-        self.run_planned_impl(&plan, shots, threads)
+        self.run_planned_impl(&plan, shots, threads, split)
     }
 
-    /// Runs a pre-compiled plan `shots` times across `threads` workers —
-    /// the compile-once/run-many entry point the serving layer uses to
-    /// reuse one [`CompiledProgram`] across requests. Identical semantics
-    /// (fault injection, telemetry, per-shot RNG streams, thread-count
-    /// independence) to [`Simulator::run_shots_parallel`] minus the
-    /// compile step, so cached-plan runs are bit-identical to fresh ones.
+    /// Runs a pre-compiled plan `shots` times within a budget of `threads`
+    /// threads — the compile-once/run-many entry point the serving layer
+    /// uses to reuse one [`CompiledProgram`] across requests. The plan's
+    /// shared work (see [`Simulator::prepare`]) runs its kernels on the
+    /// whole budget and its cheap draws on one thread; per-shot replays
+    /// (tableau, trajectories) split the shots over the budget with one
+    /// kernel thread each, so threads never nest. Identical
+    /// semantics (fault injection, telemetry, per-shot RNG streams,
+    /// thread-count independence) to [`Simulator::run_shots_parallel`]
+    /// minus the compile step, so cached-plan runs are bit-identical to
+    /// fresh ones.
     ///
     /// # Errors
     ///
@@ -474,19 +480,44 @@ impl Simulator {
         threads: usize,
     ) -> Result<ShotHistogram, ExecuteError> {
         let _run_span = self.telemetry.span("qxsim", "run_shots");
-        self.run_planned_impl(plan, shots, threads.max(1))
+        let threads = threads.max(1);
+        self.run_planned_impl(plan, shots, threads, threads)
     }
 
+    /// Prepares the plan at `threads` kernel threads, then draws the shots
+    /// over `split` shot threads.
     fn run_planned_impl(
         &self,
         plan: &CompiledProgram,
         shots: u64,
         threads: usize,
+        split: usize,
     ) -> Result<ShotHistogram, ExecuteError> {
         self.telemetry.incr("qxsim.runs", 1);
         self.telemetry.incr("qxsim.shots.requested", shots);
         let shots = self.effective_shots(shots)?;
         self.telemetry.incr("qxsim.shots.executed", shots);
+        self.prepare(plan, threads)?.run(shots, split)
+    }
+
+    /// Does a plan's shared work once, with `threads` threads for its
+    /// state-vector kernels, so that any set of shot ranges can then be
+    /// drawn from it (see [`Prepared::sample_range`]). A noise-free,
+    /// terminally measured plan is evolved once: under `measure_all` into
+    /// a cumulative probability table, under a `measure` run into the
+    /// frozen state the measurement cascade replays. A terminally measured
+    /// Clifford plan builds its Pauli-frame sampler. Tableau plans and
+    /// per-shot trajectories share nothing: every shot replays the plan.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecuteError::EngineMismatch`] when a forced engine
+    /// cannot execute the plan (see [`Simulator::with_engine_select`]).
+    pub fn prepare(
+        &self,
+        plan: &CompiledProgram,
+        threads: usize,
+    ) -> Result<Prepared, ExecuteError> {
         let engine = self.resolve_engine(plan)?;
         if self.telemetry.is_enabled() {
             self.telemetry
@@ -494,83 +525,64 @@ impl Simulator {
             self.telemetry
                 .incr_labeled("qxsim.engine.class", plan.circuit_class().name(), 1);
         }
-        match engine {
-            EngineSelect::Tableau => return self.run_tableau_planned(plan, shots, threads),
-            EngineSelect::PauliFrame => return self.run_frames_planned(plan, shots, threads),
-            _ => {}
-        }
-        self.record_sweep_decision(plan.qubit_count());
-        if self.sampling_fast_path {
-            match plan.sampling_measures() {
-                Some(TerminalMeasure::All) => {
-                    self.telemetry
-                        .incr_labeled("qxsim.sampling_fast_path", "hit", 1);
-                    return self.run_terminal_sampling(plan, shots, threads);
+        Ok(self.prepare_engine(plan, engine, threads.max(1)))
+    }
+
+    /// [`Simulator::prepare`] on an already resolved engine.
+    fn prepare_engine(
+        &self,
+        plan: &CompiledProgram,
+        engine: EngineSelect,
+        threads: usize,
+    ) -> Prepared {
+        let _span = self.telemetry.span("qxsim", "prepare");
+        let qubits = plan.qubit_count();
+        let sampler = match (engine, plan.stab_ops()) {
+            (EngineSelect::PauliFrame, Some(ops)) => match FrameSampler::build(ops, qubits) {
+                Some(frames) => Sampler::Frames(frames),
+                None => {
+                    self.telemetry.incr("qxsim.stab.frame_fallback", 1);
+                    Sampler::Tableau(ops.to_vec())
                 }
-                Some(TerminalMeasure::Run(qs)) => {
-                    self.telemetry
-                        .incr_labeled("qxsim.sampling_fast_path", "hit", 1);
-                    self.telemetry
-                        .incr("qxsim.sampling_fast_path.measure_run", 1);
-                    let qs = qs.clone();
-                    return self.run_terminal_measure_run(plan, &qs, shots, threads);
-                }
-                None => {}
-            }
+            },
+            (EngineSelect::Tableau, Some(ops)) => Sampler::Tableau(ops.to_vec()),
+            _ => self.state_vector_sampler(plan, threads),
+        };
+        Prepared {
+            sim: self.clone(),
+            qubits,
+            threads,
+            sampler,
         }
+    }
+
+    /// The state-vector part of [`Simulator::prepare_engine`]: evolve a
+    /// sampling-eligible plan once, or keep the plan for per-shot replay.
+    fn state_vector_sampler(&self, plan: &CompiledProgram, threads: usize) -> Sampler {
+        let terminal = plan.sampling_measures().filter(|_| self.sampling_fast_path);
+        let outcome = if terminal.is_some() { "hit" } else { "miss" };
         self.telemetry
-            .incr_labeled("qxsim.sampling_fast_path", "miss", 1);
-        let _span = self.telemetry.span("qxsim", "shot_execution");
-        let counting = self.telemetry.is_enabled();
-        if threads <= 1 {
-            let mut hist = ShotHistogram::new();
-            let mut counts: KernelCounts = [0; KernelClass::COUNT];
-            for shot in 0..shots {
-                let mut rng = self.shot_rng(shot);
-                let bits = self
-                    .run_compiled_counted(plan, &mut rng, counting.then_some(&mut counts))
-                    .bits;
-                hist.record(bits);
-            }
-            self.record_kernel_counts(&counts);
-            return Ok(hist);
-        }
-        let (results, counts) = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let lo = shots * t as u64 / threads as u64;
-                let hi = shots * (t as u64 + 1) / threads as u64;
-                let sim = self;
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::with_capacity((hi - lo) as usize);
-                    let mut counts: KernelCounts = [0; KernelClass::COUNT];
-                    for shot in lo..hi {
-                        let mut rng = sim.shot_rng(shot);
-                        let bits = sim
-                            .run_compiled_counted(plan, &mut rng, counting.then_some(&mut counts))
-                            .bits;
-                        out.push(bits);
-                    }
-                    (out, counts)
-                }));
-            }
-            let mut all = Vec::with_capacity(shots as usize);
-            let mut total: KernelCounts = [0; KernelClass::COUNT];
-            for h in handles {
-                match h.join() {
-                    Ok((part, counts)) => {
-                        all.extend(part);
-                        for (t, c) in total.iter_mut().zip(counts) {
-                            *t += c;
-                        }
-                    }
-                    Err(payload) => return Err(worker_error(payload)),
+            .incr_labeled("qxsim.sampling_fast_path", outcome, 1);
+        match terminal {
+            Some(TerminalMeasure::All) => {
+                self.record_sweep_decision(plan.qubit_count(), threads);
+                let state = self.evolve_prefix(plan, threads);
+                Sampler::Cumulative {
+                    table: state.cumulative_probabilities(),
+                    _state: state,
                 }
             }
-            Ok((all, total))
-        })?;
-        self.record_kernel_counts(&counts);
-        Ok(results.into_iter().collect())
+            Some(TerminalMeasure::Run(qs)) => {
+                self.telemetry
+                    .incr("qxsim.sampling_fast_path.measure_run", 1);
+                self.record_sweep_decision(plan.qubit_count(), threads);
+                Sampler::Cascade {
+                    state: self.evolve_prefix(plan, threads),
+                    qs: qs.clone(),
+                }
+            }
+            None => Sampler::Trajectories(plan.clone()),
+        }
     }
 
     /// The engine [`EngineSelect::Auto`] picks for a plan: the cheapest
@@ -651,44 +663,6 @@ impl Simulator {
         self.resolve_engine(plan)
     }
 
-    /// Runs a Clifford plan on the per-shot CHP tableau executor.
-    fn run_tableau_planned(
-        &self,
-        plan: &CompiledProgram,
-        shots: u64,
-        threads: usize,
-    ) -> Result<ShotHistogram, ExecuteError> {
-        let Some(ops) = plan.stab_ops() else {
-            return Err(ExecuteError::EngineMismatch {
-                engine: "tableau".to_string(),
-                detail: "plan has no stabilizer lowering".to_string(),
-            });
-        };
-        let _span = self.telemetry.span("qxsim", "stab_tableau");
-        self.telemetry.incr("qxsim.stab.tableau_shots", shots);
-        let n = plan.qubit_count();
-        if threads <= 1 {
-            return Ok(self.tableau_range(ops, n, 0, shots));
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = shots * t as u64 / threads as u64;
-                    let hi = shots * (t as u64 + 1) / threads as u64;
-                    scope.spawn(move || self.tableau_range(ops, n, lo, hi))
-                })
-                .collect();
-            let mut total = ShotHistogram::new();
-            for h in handles {
-                match h.join() {
-                    Ok(part) => total.merge(&part),
-                    Err(payload) => return Err(worker_error(payload)),
-                }
-            }
-            Ok(total)
-        })
-    }
-
     /// Executes tableau shots `lo..hi`, sampling a wall-clock timing every
     /// [`KERNEL_TIMING_SAMPLE_EVERY`] shots when telemetry is enabled.
     fn tableau_range(&self, ops: &[StabOp], n: usize, lo: u64, hi: u64) -> ShotHistogram {
@@ -712,148 +686,11 @@ impl Simulator {
         hist
     }
 
-    /// Runs a `CliffordTerminal` plan on the bit-packed Pauli-frame
-    /// sampler. Falls back to the tableau executor (bit-identical) when
-    /// the terminal run needs more than 64 random variables.
-    fn run_frames_planned(
-        &self,
-        plan: &CompiledProgram,
-        shots: u64,
-        threads: usize,
-    ) -> Result<ShotHistogram, ExecuteError> {
-        let Some(ops) = plan.stab_ops() else {
-            return Err(ExecuteError::EngineMismatch {
-                engine: "pauli_frame".to_string(),
-                detail: "plan has no stabilizer lowering".to_string(),
-            });
-        };
-        let Some(sampler) = FrameSampler::build(ops, plan.qubit_count()) else {
-            self.telemetry.incr("qxsim.stab.frame_fallback", 1);
-            return self.run_tableau_planned(plan, shots, threads);
-        };
-        let _span = self.telemetry.span("qxsim", "stab_frames");
-        self.telemetry.incr("qxsim.stab.frame_shots", shots);
-        self.telemetry
-            .incr("qxsim.stab.frame_words", FrameSampler::words(shots));
-        let sampler = &sampler;
-        if threads <= 1 {
-            return Ok(sampler.sample_range(self.seed, SHOT_SEED_STRIDE, 0, shots));
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = shots * t as u64 / threads as u64;
-                    let hi = shots * (t as u64 + 1) / threads as u64;
-                    scope.spawn(move || sampler.sample_range(self.seed, SHOT_SEED_STRIDE, lo, hi))
-                })
-                .collect();
-            let mut total = ShotHistogram::new();
-            for h in handles {
-                match h.join() {
-                    Ok(part) => total.merge(&part),
-                    Err(payload) => return Err(worker_error(payload)),
-                }
-            }
-            Ok(total)
-        })
-    }
-
-    /// The sampling fast path: evolve the (noise-free, terminally measured)
-    /// plan once, then draw every shot from the cumulative probability
-    /// table of the final state.
-    ///
-    /// Bit-exactness with full re-simulation: a full shot would apply the
-    /// same gates with no RNG draws, then consume exactly one `f64` from
-    /// the shot's stream inside `measure_all` (readout is exact, so
-    /// `flip_readout` draws nothing). Here each shot consumes that same
-    /// first `f64`, and the binary search on the cumulative table returns
-    /// the same basis state as the linear accumulation scan.
-    fn run_terminal_sampling(
-        &self,
-        plan: &CompiledProgram,
-        shots: u64,
-        threads: usize,
-    ) -> Result<ShotHistogram, ExecuteError> {
-        let _span = self.telemetry.span("qxsim", "sample_shots");
-        let state = self.evolve_prefix(plan);
-        let cum = state.cumulative_probabilities();
-        // Outcomes are counted into a dense per-basis-state bucket array and
-        // folded into the histogram once at the end: a map update per shot
-        // costs more than the draw itself for small programs. States too
-        // large for a bucket table record per shot instead.
-        const MAX_BUCKETS: usize = 1 << 20;
-        if cum.len() > MAX_BUCKETS {
-            let sample_range = |lo: u64, hi: u64| -> Vec<u64> {
-                (lo..hi)
-                    .map(|shot| StateVector::sample_from_cumulative(&cum, self.shot_draw(shot)))
-                    .collect()
-            };
-            if threads <= 1 {
-                return Ok(sample_range(0, shots).into_iter().collect());
-            }
-            let results: Vec<u64> = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for t in 0..threads {
-                    let lo = shots * t as u64 / threads as u64;
-                    let hi = shots * (t as u64 + 1) / threads as u64;
-                    handles.push(scope.spawn(move || sample_range(lo, hi)));
-                }
-                let mut all = Vec::with_capacity(shots as usize);
-                for h in handles {
-                    match h.join() {
-                        Ok(part) => all.extend(part),
-                        Err(payload) => return Err(worker_error(payload)),
-                    }
-                }
-                Ok(all)
-            })?;
-            return Ok(results.into_iter().collect());
-        }
-        let count_range = |lo: u64, hi: u64| -> Vec<u64> {
-            let mut buckets = vec![0u64; cum.len()];
-            for shot in lo..hi {
-                let r = self.shot_draw(shot);
-                buckets[StateVector::sample_from_cumulative(&cum, r) as usize] += 1;
-            }
-            buckets
-        };
-        let buckets = if threads <= 1 {
-            count_range(0, shots)
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let lo = shots * t as u64 / threads as u64;
-                        let hi = shots * (t as u64 + 1) / threads as u64;
-                        scope.spawn(move || count_range(lo, hi))
-                    })
-                    .collect();
-                let mut total = vec![0u64; cum.len()];
-                for h in handles {
-                    match h.join() {
-                        Ok(part) => {
-                            for (t, b) in total.iter_mut().zip(part) {
-                                *t += b;
-                            }
-                        }
-                        Err(payload) => return Err(worker_error(payload)),
-                    }
-                }
-                Ok(total)
-            })?
-        };
-        let mut hist = ShotHistogram::new();
-        for (bits, &count) in buckets.iter().enumerate() {
-            hist.record_many(bits as u64, count);
-        }
-        Ok(hist)
-    }
-
     /// Applies the unitary gate prefix of a sampling-eligible plan to a
-    /// fresh zero state, folding the kernel-dispatch counts into telemetry
-    /// once.
-    fn evolve_prefix(&self, plan: &CompiledProgram) -> StateVector {
-        let mut state = StateVector::zero_state(plan.qubit_count());
+    /// fresh zero state with `threads` kernel threads, folding the
+    /// kernel-dispatch counts into telemetry once.
+    fn evolve_prefix(&self, plan: &CompiledProgram, threads: usize) -> StateVector {
+        let mut state = StateVector::zero_state(plan.qubit_count()).with_threads(threads);
         let mut counts: KernelCounts = [0; KernelClass::COUNT];
         let counting = self.telemetry.is_enabled();
         for op in plan.ops() {
@@ -879,79 +716,23 @@ impl Simulator {
         state
     }
 
-    /// The per-qubit variant of the sampling fast path: evolve the
-    /// noise-free gate prefix once, then replay the terminal `measure` run
-    /// for every shot against the frozen state, memoising the conditional
-    /// one-probabilities per realised outcome prefix (see
-    /// [`MeasureCascade`]).
-    ///
-    /// Bit-exactness with full re-simulation: a full shot applies the same
-    /// gates with no RNG draws, then for each terminal `measure q` computes
-    /// `P(q = 1)` on its collapsed state and consumes exactly one `f64`
-    /// (`gen_bool`; readout is exact for sampling-eligible plans, so
-    /// `flip_readout` draws nothing). The cascade computes the identical
-    /// probability by replaying the same collapse chain on a clone of the
-    /// frozen state — the same floating-point operations in the same order
-    /// — and consumes the same draw from the same per-shot stream.
-    fn run_terminal_measure_run(
-        &self,
-        plan: &CompiledProgram,
-        qs: &[usize],
-        shots: u64,
-        threads: usize,
-    ) -> Result<ShotHistogram, ExecuteError> {
-        let _span = self.telemetry.span("qxsim", "sample_shots");
-        let state = self.evolve_prefix(plan);
-        let state = &state;
-        let sample_range = |lo: u64, hi: u64| -> ShotHistogram {
-            let mut cascade = MeasureCascade::new(state, qs);
-            let mut hist = ShotHistogram::new();
-            for shot in lo..hi {
-                let mut rng = self.shot_rng(shot);
-                hist.record(cascade.sample(&mut rng));
-            }
-            hist
-        };
-        if threads <= 1 {
-            return Ok(sample_range(0, shots));
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = shots * t as u64 / threads as u64;
-                    let hi = shots * (t as u64 + 1) / threads as u64;
-                    let sample_range = &sample_range;
-                    scope.spawn(move || sample_range(lo, hi))
-                })
-                .collect();
-            let mut total = ShotHistogram::new();
-            for h in handles {
-                match h.join() {
-                    Ok(part) => total.merge(&part),
-                    Err(payload) => return Err(worker_error(payload)),
-                }
-            }
-            Ok(total)
-        })
-    }
-
     /// Executes exactly shots `lo..hi` of a multi-shot run on a
     /// pre-compiled plan, returning their partial histogram.
     ///
     /// Shots draw from the same counter-derived per-shot streams as
     /// [`Simulator::run_shots`], so merging the partial histograms of any
     /// disjoint cover of `0..shots` (see [`ShotHistogram::merge`])
-    /// reproduces the single-call histogram bit-for-bit — the sharding
-    /// primitive the serving runtime uses to split one large job across a
-    /// worker pool.
+    /// reproduces the single-call histogram bit-for-bit. Each call
+    /// prepares the plan afresh on the host's threads; to draw several
+    /// ranges of one run, [`Simulator::prepare`] once and sample each
+    /// range from the [`Prepared`] run.
     ///
     /// Fault injection is *not* applied here: a sharding coordinator
     /// truncates or fails the whole run before splitting (as
     /// [`Simulator::run_shots_planned`] does).
     pub fn run_shot_range(&self, plan: &CompiledProgram, lo: u64, hi: u64) -> ShotHistogram {
-        let mut hist = ShotHistogram::new();
         if lo >= hi {
-            return hist;
+            return ShotHistogram::new();
         }
         // A forced engine that mismatches the plan falls back to automatic
         // selection here: this entry point has no error channel, and the
@@ -959,59 +740,9 @@ impl Simulator {
         let engine = self
             .resolve_engine(plan)
             .unwrap_or_else(|_| Self::auto_engine(plan));
-        match engine {
-            EngineSelect::Tableau => {
-                if let Some(ops) = plan.stab_ops() {
-                    return self.tableau_range(ops, plan.qubit_count(), lo, hi);
-                }
-            }
-            EngineSelect::PauliFrame => {
-                if let Some(ops) = plan.stab_ops() {
-                    match FrameSampler::build(ops, plan.qubit_count()) {
-                        Some(sampler) => {
-                            return sampler.sample_range(self.seed, SHOT_SEED_STRIDE, lo, hi)
-                        }
-                        None => return self.tableau_range(ops, plan.qubit_count(), lo, hi),
-                    }
-                }
-            }
-            _ => {}
-        }
-        if self.sampling_fast_path {
-            match plan.sampling_measures() {
-                Some(TerminalMeasure::All) => {
-                    let state = self.evolve_prefix(plan);
-                    let cum = state.cumulative_probabilities();
-                    for shot in lo..hi {
-                        let r = self.shot_draw(shot);
-                        hist.record(StateVector::sample_from_cumulative(&cum, r));
-                    }
-                    return hist;
-                }
-                Some(TerminalMeasure::Run(qs)) => {
-                    let qs = qs.clone();
-                    let state = self.evolve_prefix(plan);
-                    let mut cascade = MeasureCascade::new(&state, &qs);
-                    for shot in lo..hi {
-                        let mut rng = self.shot_rng(shot);
-                        hist.record(cascade.sample(&mut rng));
-                    }
-                    return hist;
-                }
-                None => {}
-            }
-        }
-        let counting = self.telemetry.is_enabled();
-        let mut counts: KernelCounts = [0; KernelClass::COUNT];
-        for shot in lo..hi {
-            let mut rng = self.shot_rng(shot);
-            let bits = self
-                .run_compiled_counted(plan, &mut rng, counting.then_some(&mut counts))
-                .bits;
-            hist.record(bits);
-        }
-        self.record_kernel_counts(&counts);
-        hist
+        let threads = auto_threads();
+        self.prepare_engine(plan, engine, threads)
+            .sample_with(lo, hi, threads)
     }
 
     /// Runs the program with *exact* channel semantics on the
@@ -1223,20 +954,22 @@ impl Simulator {
     /// interpreter path, used for single runs and noisy/measure-heavy
     /// programs).
     pub fn run_compiled<R: Rng + ?Sized>(&self, plan: &CompiledProgram, rng: &mut R) -> ShotResult {
-        self.run_compiled_counted(plan, rng, None)
+        self.run_compiled_counted(plan, auto_threads(), rng, None)
     }
 
-    /// [`Simulator::run_compiled`] with optional kernel-dispatch counting.
-    /// `counts` is `None` when telemetry is disabled, so the per-gate cost
-    /// of the instrumentation is a single `Option` branch.
+    /// [`Simulator::run_compiled`] on a state with `threads` kernel
+    /// threads, with optional kernel-dispatch counting. `counts` is `None`
+    /// when telemetry is disabled, so the per-gate cost of the
+    /// instrumentation is a single `Option` branch.
     fn run_compiled_counted<R: Rng + ?Sized>(
         &self,
         plan: &CompiledProgram,
+        threads: usize,
         rng: &mut R,
         mut counts: Option<&mut KernelCounts>,
     ) -> ShotResult {
         let n = plan.qubit_count();
-        let mut state = StateVector::zero_state(n);
+        let mut state = StateVector::zero_state(n).with_threads(threads);
         let mut bits: u64 = 0;
         for op in plan.ops() {
             match op {
@@ -1325,6 +1058,172 @@ impl Simulator {
             }
         }
     }
+}
+
+/// A plan's shared work, done once by [`Simulator::prepare`]; the run's
+/// shots are then drawn from it range by range.
+///
+/// Ranges draw from the per-shot RNG streams of [`Simulator::run_shots`],
+/// so the partial histograms of any disjoint cover of `0..shots` merge to
+/// the single-run histogram bit-for-bit, whichever threads drew them. A
+/// prepared run is `Send + Sync`: shards of one job on different workers
+/// share it instead of each evolving the state again.
+pub struct Prepared {
+    sim: Simulator,
+    qubits: usize,
+    /// Kernel threads the preparation ran on; an unsplit trajectory run
+    /// gives its per-shot states the same.
+    threads: usize,
+    sampler: Sampler,
+}
+
+/// What a prepared run keeps between ranges.
+enum Sampler {
+    /// Terminal `measure_all`: the evolved state's cumulative table.
+    Cumulative {
+        table: Vec<f64>,
+        /// The evolved state, freed with its table rather than before the
+        /// draws: freeing it first leaves a hole under the table that the
+        /// next job's small allocations split, and glibc malloc then grows
+        /// the heap for each new state (measured: peak RSS on the
+        /// benchmark's `sim-cold` workload rose from 49 to 64 MiB).
+        _state: StateVector,
+    },
+    /// Terminal `measure` run: the frozen state the cascade collapses.
+    ///
+    /// Bit-exactness with full re-simulation: a full shot applies the
+    /// same gates with no RNG draws, then for each terminal `measure q`
+    /// computes `P(q = 1)` on its collapsed state and consumes exactly one
+    /// `f64` (`gen_bool`; readout is exact for sampling-eligible plans, so
+    /// `flip_readout` draws nothing). The cascade computes the identical
+    /// probability by replaying the same collapse chain on a clone of the
+    /// frozen state — the same floating-point operations in the same order
+    /// — and consumes the same draw from the same per-shot stream.
+    Cascade { state: StateVector, qs: Vec<usize> },
+    /// Terminally measured Clifford plan: the Pauli-frame sampler.
+    Frames(FrameSampler),
+    /// Clifford plan: every shot replays the CHP tableau.
+    Tableau(Vec<StabOp>),
+    /// Everything else: every shot replays the plan on a state vector.
+    Trajectories(CompiledProgram),
+}
+
+impl Prepared {
+    /// Draws shots `lo..hi` on the calling thread (a per-shot trajectory
+    /// gets one kernel thread: the caller parallelises over ranges).
+    pub fn sample_range(&self, lo: u64, hi: u64) -> ShotHistogram {
+        self.sample_with(lo, hi, 1)
+    }
+
+    /// Draws shots `0..shots`: per-shot replays split into `split` ranges
+    /// on as many threads and merged, shared-work samplers on this thread.
+    fn run(&self, shots: u64, split: usize) -> Result<ShotHistogram, ExecuteError> {
+        let sim = &self.sim;
+        let _span = sim.telemetry.span("qxsim", "sample_shots");
+        let split = split.clamp(1, usize::try_from(shots).unwrap_or(usize::MAX).max(1));
+        match &self.sampler {
+            Sampler::Frames(_) => {
+                sim.telemetry.incr("qxsim.stab.frame_shots", shots);
+                sim.telemetry
+                    .incr("qxsim.stab.frame_words", FrameSampler::words(shots));
+            }
+            Sampler::Tableau(_) => sim.telemetry.incr("qxsim.stab.tableau_shots", shots),
+            Sampler::Trajectories(_) => {
+                sim.record_sweep_decision(self.qubits, if split > 1 { 1 } else { self.threads })
+            }
+            Sampler::Cumulative { .. } | Sampler::Cascade { .. } => {}
+        }
+        // A sampler that shared its work draws every shot on this thread:
+        // its draws are cheap, and each extra range would repeat per-range
+        // work (a bucket table over the whole state, the cascade's memo).
+        // Only per-shot replays spread over the split.
+        let replays = matches!(self.sampler, Sampler::Tableau(_) | Sampler::Trajectories(_));
+        if split == 1 || !replays {
+            return Ok(self.sample_with(0, shots, self.threads));
+        }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..split as u64)
+                .map(|t| {
+                    let lo = shots * t / split as u64;
+                    let hi = shots * (t + 1) / split as u64;
+                    scope.spawn(move || self.sample_range(lo, hi))
+                })
+                .collect();
+            let mut total = ShotHistogram::new();
+            for h in handles {
+                match h.join() {
+                    Ok(part) => total.merge(&part),
+                    Err(payload) => return Err(worker_error(payload)),
+                }
+            }
+            Ok(total)
+        })
+    }
+
+    /// Draws shots `lo..hi`, giving per-shot trajectory states `threads`
+    /// kernel threads.
+    fn sample_with(&self, lo: u64, hi: u64, threads: usize) -> ShotHistogram {
+        let sim = &self.sim;
+        match &self.sampler {
+            Sampler::Cumulative { table, .. } => sample_cumulative(sim, table, lo, hi),
+            Sampler::Cascade { state, qs } => {
+                let mut cascade = MeasureCascade::new(state, qs);
+                (lo..hi)
+                    .map(|shot| cascade.sample(&mut sim.shot_rng(shot)))
+                    .collect()
+            }
+            Sampler::Frames(frames) => frames.sample_range(sim.seed, SHOT_SEED_STRIDE, lo, hi),
+            Sampler::Tableau(ops) => sim.tableau_range(ops, self.qubits, lo, hi),
+            Sampler::Trajectories(plan) => {
+                let mut counts: KernelCounts = [0; KernelClass::COUNT];
+                let counting = sim.telemetry.is_enabled();
+                let hist = (lo..hi)
+                    .map(|shot| {
+                        let mut rng = sim.shot_rng(shot);
+                        sim.run_compiled_counted(
+                            plan,
+                            threads,
+                            &mut rng,
+                            counting.then_some(&mut counts),
+                        )
+                        .bits
+                    })
+                    .collect();
+                sim.record_kernel_counts(&counts);
+                hist
+            }
+        }
+    }
+}
+
+/// The sampling fast path's draw: shots `lo..hi` from the cumulative
+/// probability table of the evolved state.
+///
+/// Bit-exactness with full re-simulation: a full shot would apply the same
+/// gates with no RNG draws, then consume exactly one `f64` from the shot's
+/// stream inside `measure_all` (readout is exact, so `flip_readout` draws
+/// nothing). Here each shot consumes that same first `f64`, and the binary
+/// search on the cumulative table returns the same basis state as the
+/// linear accumulation scan.
+fn sample_cumulative(sim: &Simulator, cum: &[f64], lo: u64, hi: u64) -> ShotHistogram {
+    let draw = |shot| StateVector::sample_from_cumulative(cum, sim.shot_draw(shot));
+    // Outcomes are counted into a dense per-basis-state bucket array and
+    // folded into the histogram once at the end: a map update per shot
+    // costs more than the draw itself for small programs. States too large
+    // for a bucket table record per shot instead.
+    const MAX_BUCKETS: usize = 1 << 20;
+    if cum.len() > MAX_BUCKETS {
+        return (lo..hi).map(draw).collect();
+    }
+    let mut buckets = vec![0u64; cum.len()];
+    for shot in lo..hi {
+        buckets[draw(shot) as usize] += 1;
+    }
+    let mut hist = ShotHistogram::new();
+    for (bits, &count) in buckets.iter().enumerate() {
+        hist.record_many(bits as u64, count);
+    }
+    hist
 }
 
 /// Lazily-memoised conditional measurement probabilities for a terminal

@@ -56,7 +56,9 @@ pub mod state;
 
 pub use density::{DensityMatrix, MAX_DENSITY_QUBITS};
 pub use error_model::ErrorChannel;
-pub use executor::{ExecuteError, FaultInjection, ShotResult, Simulator, SHOT_SEED_STRIDE};
+pub use executor::{
+    ExecuteError, FaultInjection, Prepared, ShotResult, Simulator, SHOT_SEED_STRIDE,
+};
 pub use histogram::ShotHistogram;
 pub use observable::{Pauli, PauliString, PauliSum};
 pub use plan::{

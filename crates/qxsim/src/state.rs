@@ -52,9 +52,9 @@ pub fn par_min_qubits() -> usize {
         .get_or_init(|| parse_par_min_qubits(std::env::var("QCA_PAR_MIN_QUBITS").ok().as_deref()))
 }
 
-/// Number of worker threads the automatic kernel dispatch uses: the host's
-/// available parallelism, probed once. `1` disables threading entirely.
-pub(crate) fn auto_threads() -> usize {
+/// The host's available parallelism, probed once: the default thread budget
+/// of a [`StateVector`] and the cap a caller granting budgets applies.
+pub fn auto_threads() -> usize {
     use std::sync::OnceLock;
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
@@ -95,10 +95,19 @@ fn insert_two_bits(k: usize, p0: usize, p1: usize) -> usize {
 /// assert!((psi.probability_of(0b00) - 0.5).abs() < 1e-12);
 /// assert!((psi.probability_of(0b11) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct StateVector {
     n: usize,
     amps: Vec<C64>,
+    /// Threads the dense kernels may split over (see
+    /// [`StateVector::with_threads`]). Not part of the state's value.
+    threads: usize,
+}
+
+impl PartialEq for StateVector {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.amps == other.amps
+    }
 }
 
 impl StateVector {
@@ -113,7 +122,7 @@ impl StateVector {
         assert!(n < 64, "qubit count {n} out of supported range");
         let mut amps = vec![C64::ZERO; 1usize << n];
         amps[0] = C64::ONE;
-        StateVector { n, amps }
+        StateVector::from_parts(n, amps)
     }
 
     /// Creates a computational basis state `|basis>`.
@@ -140,7 +149,7 @@ impl StateVector {
             "length must be a power of two"
         );
         let n = amps.len().trailing_zeros() as usize;
-        let mut s = StateVector { n, amps };
+        let mut s = StateVector::from_parts(n, amps);
         let norm = s.norm();
         assert!(norm > EPSILON, "cannot normalise the zero vector");
         let inv = 1.0 / norm;
@@ -165,7 +174,35 @@ impl StateVector {
             "length must be a power of two"
         );
         let n = amps.len().trailing_zeros() as usize;
-        StateVector { n, amps }
+        StateVector::from_parts(n, amps)
+    }
+
+    fn from_parts(n: usize, amps: Vec<C64>) -> Self {
+        StateVector {
+            n,
+            amps,
+            threads: auto_threads(),
+        }
+    }
+
+    /// Caps the threads the dense kernels split this state's sweeps over
+    /// (at least 1). A new state may use every core of the host
+    /// ([`auto_threads`]); an executor that already runs work in parallel
+    /// grants each of its states only its share, so kernel threads never
+    /// nest inside other threads. Results are bit-identical for any count.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
+    }
+
+    /// Threads a dense sweep splits over: the state's budget from
+    /// [`par_min_qubits`] qubits up, one below.
+    fn sweep_threads(&self) -> usize {
+        if self.n >= par_min_qubits() {
+            self.threads
+        } else {
+            1
+        }
     }
 
     /// Number of qubits.
@@ -243,12 +280,12 @@ impl StateVector {
     /// Applies a single-qubit unitary to qubit `q`.
     ///
     /// Registers of [`par_min_qubits`] or more qubits are chunked across
-    /// the host's threads (see [`par`]); the result is bit-identical either
-    /// way since every amplitude pair is updated independently.
+    /// the state's thread budget (see [`par`]); the result is bit-identical
+    /// either way since every amplitude pair is updated independently.
     pub fn apply_1q(&mut self, m: &Mat2, q: usize) {
         debug_assert!(q < self.n);
-        let threads = auto_threads();
-        if self.n >= par_min_qubits() && threads > 1 {
+        let threads = self.sweep_threads();
+        if threads > 1 {
             par::apply_1q_threaded(self, m, q, threads);
         } else {
             let pairs = self.amps.len() >> 1;
@@ -294,8 +331,8 @@ impl StateVector {
     /// Panics in debug builds if operands alias or are out of range.
     pub fn apply_2q(&mut self, m: &Mat4, q_hi: usize, q_lo: usize) {
         debug_assert!(q_hi != q_lo && q_hi < self.n && q_lo < self.n);
-        let threads = auto_threads();
-        if self.n >= par_min_qubits() && threads > 1 {
+        let threads = self.sweep_threads();
+        if threads > 1 {
             par::apply_2q_threaded(self, m, q_hi, q_lo, threads);
         } else {
             let orbits = self.amps.len() >> 2;
@@ -344,8 +381,8 @@ impl StateVector {
         fixed.push((target, 0));
         fixed.sort_unstable();
         let pairs = self.amps.len() >> fixed.len();
-        let threads = auto_threads();
-        if self.n >= par_min_qubits() && threads > 1 {
+        let threads = self.sweep_threads();
+        if threads > 1 {
             par::apply_controlled_1q_threaded(self, m, controls, target, threads);
         } else {
             self.apply_controlled_1q_range(m, &fixed, target, 0, pairs);
@@ -388,8 +425,8 @@ impl StateVector {
     /// the result is bit-identical since every amplitude is independent.
     pub fn apply_fused_diag(&mut self, diag: &FusedDiagonal, qubits: &[usize]) {
         debug_assert_eq!(diag.entries.len(), 1usize << qubits.len());
-        let threads = auto_threads();
-        if self.n >= par_min_qubits() && threads > 1 {
+        let threads = self.sweep_threads();
+        if threads > 1 {
             par::apply_fused_diag_threaded(self, diag, qubits, threads);
         } else {
             let len = self.amps.len();
@@ -453,8 +490,8 @@ impl StateVector {
         assert_eq!(block.k, qubits.len(), "block operand count mismatch");
         assert!(block.k <= 3, "fused blocks are limited to 3 qubits");
         let orbits = self.amps.len() >> block.k;
-        let threads = auto_threads();
-        if self.n >= par_min_qubits() && threads > 1 {
+        let threads = self.sweep_threads();
+        if threads > 1 {
             par::apply_block_threaded(self, block, qubits, threads);
         } else {
             self.apply_block_range(block, qubits, 0, orbits);
@@ -545,8 +582,8 @@ impl StateVector {
             "fused 1q layers are limited to {MAX_1Q_LAYER_QUBITS} qubits"
         );
         let orbits = self.amps.len() >> qubits.len();
-        let threads = auto_threads();
-        if self.n >= par_min_qubits() && threads > 1 {
+        let threads = self.sweep_threads();
+        if threads > 1 {
             par::apply_1q_layer_threaded(self, mats, qubits, threads);
         } else {
             let (sorted, offsets) = layer_tables(qubits);

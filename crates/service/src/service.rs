@@ -21,10 +21,15 @@
 //! 2. **Resolve the plan** — the content-addressed [`PlanCache`] either
 //!    hands back a shared `Arc` (hit: no compile work, no compile span) or
 //!    the worker compiles and inserts (miss).
-//! 3. **Execute** — large state-vector sweeps are split into shot-range
-//!    shards re-enqueued for the whole pool; per-shot counter-derived RNG
-//!    streams make the merged histogram bit-identical to a single-worker
-//!    run (see [`qxsim::Simulator::run_shot_range`]).
+//! 3. **Execute** — the claim is granted one thread plus one per worker
+//!    parked at claim time (capped at the host's parallelism), so a lone
+//!    job on an idle pool uses every core and a busy pool one thread per
+//!    worker. A large sweep does its shared work once on that grant
+//!    ([`qxsim::Simulator::prepare`]: one state evolution, one frame
+//!    sampler), then splits into shot-range shards re-enqueued for the
+//!    whole pool, each sampling its range on its own thread; per-shot
+//!    counter-derived RNG streams make the merged histogram bit-identical
+//!    to a single-worker run (see [`qxsim::Prepared::sample_range`]).
 //!
 //! Results are delivered through [`ServiceHandle::wait`]/`poll`; every
 //! stage records telemetry (queue depth, wait vs execute latency, cache
@@ -39,7 +44,7 @@ use crate::snapshot::{self, SnapshotError, SnapshotReport};
 use crate::tenant::{DrrQueue, TenantConfig};
 use openql::{Compiler, CompilerOptions, Platform};
 use qca_telemetry::{LogHistogram, Telemetry};
-use qxsim::{ExecuteError, ShotHistogram, Simulator};
+use qxsim::{ExecuteError, Prepared, ShotHistogram, Simulator};
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -275,8 +280,9 @@ struct Failure {
 
 /// One shot-range shard of a sharded sweep, claimable by any worker.
 struct ShardTask {
-    sim: Simulator,
-    artifact: Arc<CompiledArtifact>,
+    /// The sweep's shared work, done once before the split: every shard
+    /// only samples its range from it.
+    prepared: Prepared,
     /// (job id, attempt the job was claimed at) for every batch member.
     batch: Vec<(u64, u32)>,
     cache_hit: bool,
@@ -662,7 +668,10 @@ impl Service {
                     .shared
                     .telemetry
                     .incr("service.snapshot.saved_entries", n as u64),
-                Err(_) => self.shared.telemetry.incr("service.snapshot.save_failed", 1),
+                Err(_) => self
+                    .shared
+                    .telemetry
+                    .incr("service.snapshot.save_failed", 1),
             }
         }
         self.shared.job_done.notify_all();
@@ -916,7 +925,9 @@ impl ServiceHandle {
         state.totals.cancelled += 1;
         drop(state);
         self.shared.queued_total.fetch_sub(1, Ordering::SeqCst);
-        self.shared.lanes[lane].queued.fetch_sub(1, Ordering::SeqCst);
+        self.shared.lanes[lane]
+            .queued
+            .fetch_sub(1, Ordering::SeqCst);
         self.shared.telemetry.incr("service.jobs.cancelled", 1);
         if self.shared.telemetry.is_enabled() {
             let prio = priority.to_string();
@@ -1427,6 +1438,9 @@ struct Claim {
     attempt: u32,
     priority: u8,
     started_at: Instant,
+    /// Threads granted to the execution: this worker plus every worker
+    /// parked at claim time, capped at the host's parallelism.
+    threads: usize,
 }
 
 /// How `run_claim` left the batch.
@@ -1564,6 +1578,7 @@ fn claim_batch(shared: &Shared, id: JobId) -> Option<Claim> {
     let priority = spec.priority;
     let inflight = state.running;
     drop(state);
+    let threads = (1 + shared.sleepers.load(Ordering::SeqCst)).min(qxsim::state::auto_threads());
     let depth = shared
         .queued_total
         .fetch_sub(batch.len(), Ordering::SeqCst)
@@ -1585,6 +1600,7 @@ fn claim_batch(shared: &Shared, id: JobId) -> Option<Claim> {
         attempt,
         priority,
         started_at: claim_now,
+        threads,
     })
 }
 
@@ -1679,33 +1695,36 @@ fn run_claim(shared: &Shared, claim: &Claim) -> RunOutcome {
     };
     let sim = Simulator::with_model(spec.qubits.to_model())
         .with_seed(spec.seed)
-        .with_engine_select(select);
+        .with_engine_select(select)
+        .with_telemetry(shared.telemetry.clone());
     let density =
         spec.engine == Engine::DensityMatrix || spec.force_engine == Some(Engine::DensityMatrix);
     let class = artifact.plan.circuit_class().name();
     let exec_started = Instant::now();
+    let meta = move |shards: usize, engine: &'static str| ExecMeta {
+        cache_hit,
+        compile_us,
+        shards,
+        started_at: claim.started_at,
+        exec_started,
+        engine,
+        class,
+    };
+    let fail = |e: &ExecuteError| {
+        settle_batch(
+            shared,
+            &claim.batch,
+            Err(execute_failure(e)),
+            meta(1, "none"),
+        );
+        RunOutcome::Finished
+    };
     let engine = if density {
         "density"
     } else {
         match sim.plan_engine(&artifact.plan) {
             Ok(resolved) => resolved.name(),
-            Err(e) => {
-                settle_batch(
-                    shared,
-                    &claim.batch,
-                    Err(execute_failure(&e)),
-                    ExecMeta {
-                        cache_hit,
-                        compile_us,
-                        shards: 1,
-                        started_at: claim.started_at,
-                        exec_started,
-                        engine: "none",
-                        class,
-                    },
-                );
-                return RunOutcome::Finished;
-            }
+            Err(e) => return fail(&e),
         }
     };
     shared.telemetry.incr_labeled("service.engine", engine, 1);
@@ -1719,9 +1738,15 @@ fn run_claim(shared: &Shared, claim: &Claim) -> RunOutcome {
         }
         .max(1);
     if shards > 1 {
+        // The shared work (one state evolution, one frame sampler) runs
+        // here once, on the claim's threads, before the split; the shards
+        // then only sample their ranges, one thread each.
+        let prepared = match sim.prepare(&artifact.plan, claim.threads) {
+            Ok(prepared) => prepared,
+            Err(e) => return fail(&e),
+        };
         let task = Arc::new(ShardTask {
-            sim,
-            artifact,
+            prepared,
             batch: claim.batch.clone(),
             cache_hit,
             compile_us,
@@ -1773,23 +1798,10 @@ fn run_claim(shared: &Shared, claim: &Claim) -> RunOutcome {
     let result = if density {
         sim.run_density_planned(&artifact.plan, spec.shots)
     } else {
-        sim.run_shots_planned(&artifact.plan, spec.shots, 1)
+        sim.run_shots_planned(&artifact.plan, spec.shots, claim.threads)
     }
     .map_err(|e| execute_failure(&e));
-    settle_batch(
-        shared,
-        &claim.batch,
-        result,
-        ExecMeta {
-            cache_hit,
-            compile_us,
-            shards: 1,
-            started_at: claim.started_at,
-            exec_started,
-            engine,
-            class,
-        },
-    );
+    settle_batch(shared, &claim.batch, result, meta(1, engine));
     RunOutcome::Finished
 }
 
@@ -1847,9 +1859,7 @@ fn compile_artifact(
 /// result; a panic in one shard fails the batch but the last-arriving
 /// shard still settles it — no waiter is stranded.
 fn shard_step(shared: &Shared, task: &Arc<ShardTask>, lo: u64, hi: u64) -> StepOutcome {
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        task.sim.run_shot_range(&task.artifact.plan, lo, hi)
-    }));
+    let run = catch_unwind(AssertUnwindSafe(|| task.prepared.sample_range(lo, hi)));
     match run {
         Ok(part) => {
             shard_done(shared, task, Ok(part));

@@ -110,6 +110,7 @@ impl JsonValue {
 /// A message with the byte offset of the first syntax error.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -123,6 +124,7 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -264,13 +266,20 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8".to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash
+                    // at once, so a string costs time linear in its length.
+                    // Both stop bytes are ASCII, so the run ends on a char
+                    // boundary of the `&str` input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .ok_or("unterminated string")?;
+                    let chunk = self
+                        .text
+                        .get(self.pos..self.pos + run)
+                        .ok_or("string run splits a UTF-8 scalar")?;
+                    out.push_str(chunk);
+                    self.pos += run;
                 }
             }
         }
@@ -340,6 +349,28 @@ mod tests {
     fn handles_whitespace_and_unicode() {
         let v = parse(" {\n\t\"k\" : \"héllo✓\" } ").unwrap();
         assert_eq!(v.get("k").and_then(JsonValue::as_str), Some("héllo✓"));
+    }
+
+    #[test]
+    fn long_strings_round_trip_every_escape_and_multibyte_char() {
+        // Every escape the parser knows, multi-byte scalars of 2, 3 and 4
+        // bytes next to them, and control characters the writer escapes
+        // as \u; long enough that a per-character rescan of the rest of
+        // the input would be quadratic.
+        let unit = "ascii é✓𝄞 \" \\ / \n \t \r \u{8} \u{c} \u{1} \u{1f} end;";
+        let long: String = unit.repeat(2000);
+        let doc = JsonValue::String(long.clone()).to_compact();
+        assert_eq!(parse(&doc).unwrap(), JsonValue::String(long.clone()));
+        let keyed = format!("{{\"k\":{doc},\"n\":1}}");
+        let v = parse(&keyed).unwrap();
+        assert_eq!(v.get("k").and_then(JsonValue::as_str), Some(long.as_str()));
+        // Escapes the writer never emits decode too.
+        let escapes = r#""\/\b\f\u00e9\u2713x""#;
+        assert_eq!(
+            parse(escapes).unwrap(),
+            JsonValue::String("/\u{8}\u{c}é✓x".to_string())
+        );
+        assert!(parse(&doc[..doc.len() - 1]).is_err(), "unterminated");
     }
 
     #[test]

@@ -67,6 +67,53 @@ fn histograms_are_bit_identical_across_worker_counts() {
     }
 }
 
+/// Total `qxsim.kernel_dispatch` count a service's telemetry recorded.
+fn kernel_dispatches(telemetry: &Telemetry) -> u64 {
+    telemetry
+        .snapshot()
+        .labeled
+        .get("qxsim.kernel_dispatch")
+        .map_or(0, |classes| classes.values().sum())
+}
+
+/// A sharded sampling job evolves its state once, however many shards
+/// sample it: the kernel dispatches of the whole job equal those of the
+/// unsharded single-worker run, and the histogram is bit-identical.
+#[test]
+fn sharded_sampling_jobs_evolve_the_state_once() {
+    // Non-Clifford, so the state-vector sampling path serves it.
+    let circuit = "qubits 6\nh q[0]\nt q[0]\ncnot q[0], q[1]\nrx q[2], 0.7\n\
+                   cnot q[2], q[3]\nry q[4], 1.1\ncz q[4], q[5]\ncnot q[1], q[4]\n\
+                   t q[5]\nh q[3]\nmeasure_all\n";
+    let spec = JobSpec::new(circuit).with_seed(5).with_shots(4000);
+    let mut runs = Vec::new();
+    for workers in [1usize, 2, 4] {
+        let telemetry = Telemetry::enabled();
+        let service = Service::with_telemetry(
+            ServiceConfig {
+                workers,
+                shard_min_shots: 1000,
+                ..ServiceConfig::default()
+            },
+            telemetry.clone(),
+        );
+        let handle = service.handle();
+        let id = handle.submit(spec.clone()).unwrap();
+        let outcome = handle.wait(id, Duration::from_secs(120)).unwrap();
+        assert_eq!(outcome.engine, "state_vector");
+        assert_eq!(outcome.shards, workers, "{workers} workers");
+        let histogram = outcome.histogram.clone();
+        service.shutdown();
+        runs.push((workers, kernel_dispatches(&telemetry), histogram));
+    }
+    let (_, one_evolution, reference) = &runs[0];
+    assert!(*one_evolution > 0, "the evolution's kernels are counted");
+    for (workers, dispatches, histogram) in &runs[1..] {
+        assert_eq!(dispatches, one_evolution, "{workers} workers");
+        assert_eq!(histogram, reference, "{workers} workers");
+    }
+}
+
 fn compile_span_count(telemetry: &Telemetry) -> usize {
     telemetry
         .snapshot()
