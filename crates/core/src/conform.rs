@@ -589,7 +589,7 @@ fn check_engines(
         .compile(program)
         .map_err(|e| format!("{stage}/shard compile: {e}"))?;
     let prepared = sim
-        .prepare(&plan, 2)
+        .prepare(&plan, shots, 2)
         .map_err(|e| format!("{stage}/shard prepare: {e}"))?;
     let cut_a = shots / 3;
     let cut_b = shots - shots / 4;

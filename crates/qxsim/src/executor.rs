@@ -323,7 +323,8 @@ impl Simulator {
     }
 
     /// Runs the program `shots` times, collecting the final classical bits
-    /// of each shot into a histogram.
+    /// of each shot into a histogram, within the host's parallelism (see
+    /// [`Simulator::run_shots_planned`] for how a run spends its threads).
     ///
     /// Each shot draws randomness from its own stream seeded by
     /// `(simulator seed, shot index)` — the same streams
@@ -334,10 +335,10 @@ impl Simulator {
     ///
     /// Returns [`ExecuteError::Invalid`] if the program fails validation.
     pub fn run_shots(&self, program: &Program, shots: u64) -> Result<ShotHistogram, ExecuteError> {
-        self.run_shots_impl(program, shots, auto_threads(), 1)
+        self.run_shots_impl(program, shots, auto_threads())
     }
 
-    /// Runs the program `shots` times across `threads` worker threads.
+    /// Runs the program `shots` times within a budget of `threads` threads.
     ///
     /// Per-shot seeding makes the result deterministic and independent of
     /// the thread count; `run_shots_parallel(p, s, 1)` equals
@@ -352,8 +353,7 @@ impl Simulator {
         shots: u64,
         threads: usize,
     ) -> Result<ShotHistogram, ExecuteError> {
-        let threads = threads.max(1);
-        self.run_shots_impl(program, shots, threads, threads)
+        self.run_shots_impl(program, shots, threads)
     }
 
     /// Applies the fault-injection configuration to a `shots`-shot run:
@@ -446,27 +446,31 @@ impl Simulator {
         program: &Program,
         shots: u64,
         threads: usize,
-        split: usize,
     ) -> Result<ShotHistogram, ExecuteError> {
         let _run_span = self.telemetry.span("qxsim", "run_shots");
         let plan = {
             let _span = self.telemetry.span("qxsim", "plan_compile");
             self.compile(program)?
         };
-        self.run_planned_impl(&plan, shots, threads, split)
+        self.prepare(&plan, shots, threads)?.run()
     }
 
     /// Runs a pre-compiled plan `shots` times within a budget of `threads`
-    /// threads — the compile-once/run-many entry point the serving layer
-    /// uses to reuse one [`CompiledProgram`] across requests. The plan's
-    /// shared work (see [`Simulator::prepare`]) runs its kernels on the
-    /// whole budget and its cheap draws on one thread; per-shot replays
-    /// (tableau, trajectories) split the shots over the budget with one
-    /// kernel thread each, so threads never nest. Identical
-    /// semantics (fault injection, telemetry, per-shot RNG streams,
-    /// thread-count independence) to [`Simulator::run_shots_parallel`]
-    /// minus the compile step, so cached-plan runs are bit-identical to
-    /// fresh ones.
+    /// threads (capped at the host's parallelism) — the compile-once/
+    /// run-many entry point the serving layer uses to reuse one
+    /// [`CompiledProgram`] across requests.
+    ///
+    /// The budget is spent at one level only. The plan's shared work (see
+    /// [`Simulator::prepare`]) runs its kernels on the whole budget and its
+    /// cheap draws on one thread. Per-shot replays (tableau, trajectories)
+    /// split their shots over the budget, one kernel thread each, once the
+    /// run holds enough work per thread: `2^par_min_qubits` amplitude
+    /// updates, the size at which a dense kernel pays for its threads (see
+    /// [`par_min_qubits`]); a smaller run stays on the calling thread.
+    /// Identical semantics (fault injection, telemetry, per-shot RNG
+    /// streams, thread-count independence) to
+    /// [`Simulator::run_shots_parallel`] minus the compile step, so
+    /// cached-plan runs are bit-identical to fresh ones.
     ///
     /// # Errors
     ///
@@ -480,44 +484,36 @@ impl Simulator {
         threads: usize,
     ) -> Result<ShotHistogram, ExecuteError> {
         let _run_span = self.telemetry.span("qxsim", "run_shots");
-        let threads = threads.max(1);
-        self.run_planned_impl(plan, shots, threads, threads)
+        self.prepare(plan, shots, threads)?.run()
     }
 
-    /// Prepares the plan at `threads` kernel threads, then draws the shots
-    /// over `split` shot threads.
-    fn run_planned_impl(
-        &self,
-        plan: &CompiledProgram,
-        shots: u64,
-        threads: usize,
-        split: usize,
-    ) -> Result<ShotHistogram, ExecuteError> {
-        self.telemetry.incr("qxsim.runs", 1);
-        self.telemetry.incr("qxsim.shots.requested", shots);
-        let shots = self.effective_shots(shots)?;
-        self.telemetry.incr("qxsim.shots.executed", shots);
-        self.prepare(plan, threads)?.run(shots, split)
-    }
-
-    /// Does a plan's shared work once, with `threads` threads for its
-    /// state-vector kernels, so that any set of shot ranges can then be
-    /// drawn from it (see [`Prepared::sample_range`]). A noise-free,
-    /// terminally measured plan is evolved once: under `measure_all` into
-    /// a cumulative probability table, under a `measure` run into the
-    /// frozen state the measurement cascade replays. A terminally measured
+    /// Starts a `shots`-shot run of the plan within a budget of `threads`
+    /// threads (capped at the host's parallelism): applies fault injection,
+    /// counts the run, and does the plan's shared work once, so that any
+    /// set of shot ranges can then be drawn from it (see
+    /// [`Prepared::sample_range`]). A noise-free, terminally measured plan
+    /// is evolved once on the whole budget: under `measure_all` into a
+    /// cumulative probability table, under a `measure` run into the frozen
+    /// state the measurement cascade replays. A terminally measured
     /// Clifford plan builds its Pauli-frame sampler. Tableau plans and
     /// per-shot trajectories share nothing: every shot replays the plan.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecuteError::EngineMismatch`] when a forced engine
-    /// cannot execute the plan (see [`Simulator::with_engine_select`]).
+    /// Returns [`ExecuteError::InjectedFault`] under the same conditions
+    /// as [`Simulator::run_shots_planned`], and
+    /// [`ExecuteError::EngineMismatch`] when a forced engine cannot
+    /// execute the plan (see [`Simulator::with_engine_select`]).
     pub fn prepare(
         &self,
         plan: &CompiledProgram,
+        shots: u64,
         threads: usize,
     ) -> Result<Prepared, ExecuteError> {
+        self.telemetry.incr("qxsim.runs", 1);
+        self.telemetry.incr("qxsim.shots.requested", shots);
+        let shots = self.effective_shots(shots)?;
+        self.telemetry.incr("qxsim.shots.executed", shots);
         let engine = self.resolve_engine(plan)?;
         if self.telemetry.is_enabled() {
             self.telemetry
@@ -525,39 +521,61 @@ impl Simulator {
             self.telemetry
                 .incr_labeled("qxsim.engine.class", plan.circuit_class().name(), 1);
         }
-        Ok(self.prepare_engine(plan, engine, threads.max(1)))
+        let prepared = self.prepare_engine(plan, engine, shots, threads.clamp(1, auto_threads()));
+        match &prepared.sampler {
+            Sampler::Frames(_) => {
+                self.telemetry.incr("qxsim.stab.frame_shots", shots);
+                self.telemetry
+                    .incr("qxsim.stab.frame_words", FrameSampler::words(shots));
+            }
+            Sampler::Tableau => self.telemetry.incr("qxsim.stab.tableau_shots", shots),
+            Sampler::Trajectories => {
+                let kernel_threads = if prepared.split() > 1 {
+                    1
+                } else {
+                    prepared.threads
+                };
+                self.record_sweep_decision(plan.qubit_count(), kernel_threads);
+            }
+            Sampler::Cumulative { .. } | Sampler::Cascade { .. } => {}
+        }
+        Ok(prepared)
     }
 
-    /// [`Simulator::prepare`] on an already resolved engine.
+    /// The shared work of [`Simulator::prepare`] on an already resolved
+    /// engine.
     fn prepare_engine(
         &self,
         plan: &CompiledProgram,
         engine: EngineSelect,
+        shots: u64,
         threads: usize,
     ) -> Prepared {
         let _span = self.telemetry.span("qxsim", "prepare");
-        let qubits = plan.qubit_count();
         let sampler = match (engine, plan.stab_ops()) {
-            (EngineSelect::PauliFrame, Some(ops)) => match FrameSampler::build(ops, qubits) {
-                Some(frames) => Sampler::Frames(frames),
-                None => {
-                    self.telemetry.incr("qxsim.stab.frame_fallback", 1);
-                    Sampler::Tableau(ops.to_vec())
+            (EngineSelect::PauliFrame, Some(ops)) => {
+                match FrameSampler::build(ops, plan.qubit_count()) {
+                    Some(frames) => Sampler::Frames(frames),
+                    None => {
+                        self.telemetry.incr("qxsim.stab.frame_fallback", 1);
+                        Sampler::Tableau
+                    }
                 }
-            },
-            (EngineSelect::Tableau, Some(ops)) => Sampler::Tableau(ops.to_vec()),
+            }
+            (EngineSelect::Tableau, Some(_)) => Sampler::Tableau,
             _ => self.state_vector_sampler(plan, threads),
         };
         Prepared {
             sim: self.clone(),
-            qubits,
+            plan: plan.clone(),
+            shots,
             threads,
             sampler,
         }
     }
 
     /// The state-vector part of [`Simulator::prepare_engine`]: evolve a
-    /// sampling-eligible plan once, or keep the plan for per-shot replay.
+    /// sampling-eligible plan once, or leave the plan to per-shot replay.
     fn state_vector_sampler(&self, plan: &CompiledProgram, threads: usize) -> Sampler {
         let terminal = plan.sampling_measures().filter(|_| self.sampling_fast_path);
         let outcome = if terminal.is_some() { "hit" } else { "miss" };
@@ -581,7 +599,7 @@ impl Simulator {
                     qs: qs.clone(),
                 }
             }
-            None => Sampler::Trajectories(plan.clone()),
+            None => Sampler::Trajectories,
         }
     }
 
@@ -741,7 +759,7 @@ impl Simulator {
             .resolve_engine(plan)
             .unwrap_or_else(|_| Self::auto_engine(plan));
         let threads = auto_threads();
-        self.prepare_engine(plan, engine, threads)
+        self.prepare_engine(plan, engine, hi - lo, threads)
             .sample_with(lo, hi, threads)
     }
 
@@ -1060,8 +1078,8 @@ impl Simulator {
     }
 }
 
-/// A plan's shared work, done once by [`Simulator::prepare`]; the run's
-/// shots are then drawn from it range by range.
+/// A run started by [`Simulator::prepare`]: the plan's shared work, done
+/// once; the run's shots are then drawn from it range by range.
 ///
 /// Ranges draw from the per-shot RNG streams of [`Simulator::run_shots`],
 /// so the partial histograms of any disjoint cover of `0..shots` merge to
@@ -1070,9 +1088,11 @@ impl Simulator {
 /// share it instead of each evolving the state again.
 pub struct Prepared {
     sim: Simulator,
-    qubits: usize,
-    /// Kernel threads the preparation ran on; an unsplit trajectory run
-    /// gives its per-shot states the same.
+    /// The plan, for per-shot replays (a clone shares its operations).
+    plan: CompiledProgram,
+    /// Shots in the run, after fault injection's shot budget.
+    shots: u64,
+    /// The run's thread budget.
     threads: usize,
     sampler: Sampler,
 }
@@ -1103,44 +1123,32 @@ enum Sampler {
     /// Terminally measured Clifford plan: the Pauli-frame sampler.
     Frames(FrameSampler),
     /// Clifford plan: every shot replays the CHP tableau.
-    Tableau(Vec<StabOp>),
+    Tableau,
     /// Everything else: every shot replays the plan on a state vector.
-    Trajectories(CompiledProgram),
+    Trajectories,
 }
 
 impl Prepared {
+    /// Shots in the run: the requested count, truncated by fault
+    /// injection's shot budget.
+    pub fn shots(&self) -> u64 {
+        self.shots
+    }
+
     /// Draws shots `lo..hi` on the calling thread (a per-shot trajectory
     /// gets one kernel thread: the caller parallelises over ranges).
     pub fn sample_range(&self, lo: u64, hi: u64) -> ShotHistogram {
         self.sample_with(lo, hi, 1)
     }
 
-    /// Draws shots `0..shots`: per-shot replays split into `split` ranges
-    /// on as many threads and merged, shared-work samplers on this thread.
-    fn run(&self, shots: u64, split: usize) -> Result<ShotHistogram, ExecuteError> {
-        let sim = &self.sim;
-        let _span = sim.telemetry.span("qxsim", "sample_shots");
-        let split = split.clamp(1, usize::try_from(shots).unwrap_or(usize::MAX).max(1));
-        match &self.sampler {
-            Sampler::Frames(_) => {
-                sim.telemetry.incr("qxsim.stab.frame_shots", shots);
-                sim.telemetry
-                    .incr("qxsim.stab.frame_words", FrameSampler::words(shots));
-            }
-            Sampler::Tableau(_) => sim.telemetry.incr("qxsim.stab.tableau_shots", shots),
-            Sampler::Trajectories(_) => {
-                sim.record_sweep_decision(self.qubits, if split > 1 { 1 } else { self.threads })
-            }
-            Sampler::Cumulative { .. } | Sampler::Cascade { .. } => {}
+    /// Draws shots `0..shots`, over [`Prepared::split`] threads.
+    fn run(&self) -> Result<ShotHistogram, ExecuteError> {
+        let _span = self.sim.telemetry.span("qxsim", "sample_shots");
+        let split = self.split();
+        if split == 1 {
+            return Ok(self.sample_with(0, self.shots, self.threads));
         }
-        // A sampler that shared its work draws every shot on this thread:
-        // its draws are cheap, and each extra range would repeat per-range
-        // work (a bucket table over the whole state, the cascade's memo).
-        // Only per-shot replays spread over the split.
-        let replays = matches!(self.sampler, Sampler::Tableau(_) | Sampler::Trajectories(_));
-        if split == 1 || !replays {
-            return Ok(self.sample_with(0, shots, self.threads));
-        }
+        let shots = self.shots;
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..split as u64)
                 .map(|t| {
@@ -1160,6 +1168,26 @@ impl Prepared {
         })
     }
 
+    /// Threads the run's shots spread over. A sampler that shared its work
+    /// draws every shot on one thread: its draws are cheap, and each extra
+    /// range would repeat per-range work (a bucket table over the whole
+    /// state, the cascade's memo). A per-shot replay takes one thread per
+    /// `2^par_min_qubits` units of work, up to its budget, counting a
+    /// trajectory op as one update per amplitude and a tableau op as one
+    /// per qubit.
+    fn split(&self) -> usize {
+        let n = self.plan.qubit_count() as u64;
+        let per_shot = match self.sampler {
+            Sampler::Tableau => self.plan.stab_ops().map_or(0, <[_]>::len) as u64 * n,
+            Sampler::Trajectories => (self.plan.ops().len() as u64).saturating_mul(1 << n.min(63)),
+            _ => return 1,
+        };
+        let threads = per_shot.saturating_mul(self.shots) >> par_min_qubits();
+        usize::try_from(threads.min(self.shots))
+            .unwrap_or(usize::MAX)
+            .clamp(1, self.threads)
+    }
+
     /// Draws shots `lo..hi`, giving per-shot trajectory states `threads`
     /// kernel threads.
     fn sample_with(&self, lo: u64, hi: u64, threads: usize) -> ShotHistogram {
@@ -1173,15 +1201,21 @@ impl Prepared {
                     .collect()
             }
             Sampler::Frames(frames) => frames.sample_range(sim.seed, SHOT_SEED_STRIDE, lo, hi),
-            Sampler::Tableau(ops) => sim.tableau_range(ops, self.qubits, lo, hi),
-            Sampler::Trajectories(plan) => {
+            // A tableau sampler is only built for a plan with stabilizer ops.
+            Sampler::Tableau => sim.tableau_range(
+                self.plan.stab_ops().unwrap_or_default(),
+                self.plan.qubit_count(),
+                lo,
+                hi,
+            ),
+            Sampler::Trajectories => {
                 let mut counts: KernelCounts = [0; KernelClass::COUNT];
                 let counting = sim.telemetry.is_enabled();
                 let hist = (lo..hi)
                     .map(|shot| {
                         let mut rng = sim.shot_rng(shot);
                         sim.run_compiled_counted(
-                            plan,
+                            &self.plan,
                             threads,
                             &mut rng,
                             counting.then_some(&mut counts),
@@ -1523,6 +1557,45 @@ mod parallel_tests {
             .gate(GateKind::Cnot, &[0, 1])
             .measure_all()
             .build()
+    }
+
+    /// A run's shot threads at a budget of 4, uncapped by the host.
+    fn split(sim: &Simulator, program: &Program, shots: u64) -> usize {
+        let plan = sim.compile(program).unwrap();
+        let engine = sim.resolve_engine(&plan).unwrap();
+        sim.prepare_engine(&plan, engine, shots, 4).split()
+    }
+
+    /// Per-shot replays split only when each thread gets enough work;
+    /// shared-work samplers never split.
+    #[test]
+    fn replays_split_by_work_and_shared_samplers_stay_on_one_thread() {
+        let teleport = Program::builder(3)
+            .gate(GateKind::H, &[1])
+            .gate(GateKind::Cnot, &[1, 2])
+            .gate(GateKind::Cnot, &[0, 1])
+            .gate(GateKind::H, &[0])
+            .measure(0)
+            .measure(1)
+            .cond(1, GateKind::X, &[2])
+            .cond(0, GateKind::Z, &[2])
+            .measure_all()
+            .build();
+        let perfect = Simulator::perfect();
+        assert_eq!(split(&perfect, &teleport, 256), 1, "a small tableau job");
+        assert_eq!(split(&perfect, &bell(), 1 << 20), 1, "a shared sampler");
+        let mut wide = Program::builder(12);
+        for layer in 0..10 {
+            for q in 0..12 {
+                wide = wide.gate(GateKind::Rx(0.1 * f64::from(layer + 1)), &[q]);
+            }
+        }
+        let wide = wide.measure_all().build();
+        let noisy = Simulator::with_model(QubitModel::realistic_depolarizing(0.01, 0.02, 0.01));
+        assert_eq!(split(&noisy, &bell(), 8), 1, "a small trajectory job");
+        assert_eq!(split(&noisy, &wide, 1), 1, "one shot");
+        assert_eq!(split(&noisy, &wide, 2), 2, "two heavy shots");
+        assert_eq!(split(&noisy, &wide, 64), 4, "capped at the budget");
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::qubit_model::QubitModel;
 use crate::state::StateVector;
 use cqasm::math::{Mat2, C64};
 use cqasm::{BlockUnitary, FusedDiagonal, Instruction, KernelClass, Program};
+use std::sync::Arc;
 
 /// The largest program the state-vector engine accepts. A 30-qubit state
 /// is 2^30 amplitudes (16 GiB of `Complex64`); beyond that the allocation
@@ -229,12 +230,14 @@ pub struct FusionStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProgram {
     n: usize,
-    ops: Vec<PlannedOp>,
+    /// Shared, so that cloning a plan (a run keeping it for its per-shot
+    /// replays) copies no operations.
+    ops: Arc<[PlannedOp]>,
     terminal: Option<TerminalMeasure>,
     sampling: bool,
     stats: FusionStats,
     class: CircuitClass,
-    stab_ops: Option<Vec<StabOp>>,
+    stab_ops: Option<Arc<[StabOp]>>,
 }
 
 impl CompiledProgram {
@@ -339,12 +342,12 @@ impl CompiledProgram {
             };
         Ok(CompiledProgram {
             n,
-            ops,
+            ops: ops.into(),
             terminal,
             sampling,
             stats,
             class,
-            stab_ops,
+            stab_ops: stab_ops.map(Arc::from),
         })
     }
 

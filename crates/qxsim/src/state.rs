@@ -53,8 +53,8 @@ pub fn par_min_qubits() -> usize {
 }
 
 /// The host's available parallelism, probed once: the default thread budget
-/// of a [`StateVector`] and the cap a caller granting budgets applies.
-pub fn auto_threads() -> usize {
+/// of a [`StateVector`] and the cap on a run's thread budget.
+pub(crate) fn auto_threads() -> usize {
     use std::sync::OnceLock;
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
@@ -190,7 +190,7 @@ impl StateVector {
     /// ([`auto_threads`]); an executor that already runs work in parallel
     /// grants each of its states only its share, so kernel threads never
     /// nest inside other threads. Results are bit-identical for any count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
+    pub(crate) fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
     }

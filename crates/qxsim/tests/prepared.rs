@@ -117,7 +117,8 @@ proptest! {
         }
         let whole = sim.run_shots_planned(&plan, shots, 1).unwrap();
         prop_assert_eq!(&sim.run_shots_planned(&plan, shots, threads).unwrap(), &whole);
-        let prepared = sim.prepare(&plan, threads).unwrap();
+        let prepared = sim.prepare(&plan, shots, threads).unwrap();
+        prop_assert_eq!(prepared.shots(), shots);
         // Merge in reverse so the order of ranges is not the shot order.
         let mut merged = ShotHistogram::new();
         for (lo, hi) in cover(shots, &cuts).into_iter().rev() {
@@ -133,7 +134,7 @@ fn shards_sampling_one_prepared_run_in_parallel_match_the_whole_run() {
         let (sim, program, engine, _) = case(kind, 42);
         let plan = checked_plan(&sim, &program, engine);
         let whole = sim.run_shots_planned(&plan, 900, 1).unwrap();
-        let prepared = sim.prepare(&plan, 2).unwrap();
+        let prepared = sim.prepare(&plan, 900, 2).unwrap();
         let parts: Vec<ShotHistogram> = std::thread::scope(|scope| {
             let handles: Vec<_> = cover(900, &[100, 450, 451, 800])
                 .into_iter()
@@ -154,10 +155,11 @@ fn shards_sampling_one_prepared_run_in_parallel_match_the_whole_run() {
     }
 }
 
-/// The sweep decision reports the kernel threads a run was granted, not
-/// the host's parallelism: a budget of 1 is serial, a budget of 2 evolves
-/// the shared state on 2 threads, and per-shot trajectories split over 2
-/// shot threads keep their kernels serial.
+/// The sweep decision reports the kernel threads a run was granted (its
+/// budget, capped at the host's parallelism), not the host's parallelism:
+/// a budget of 1 is serial, a budget of 2 evolves the shared state on 2
+/// threads, and per-shot trajectories split over 2 shot threads keep their
+/// kernels serial.
 #[test]
 fn sweep_telemetry_reports_the_granted_threads() {
     let n = qxsim::par_min_qubits().max(2);
@@ -172,9 +174,15 @@ fn sweep_telemetry_reports_the_granted_threads() {
         .measure_all()
         .build();
     let noisy = QubitModel::realistic_depolarizing(0.01, 0.02, 0.01);
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (two, granted_two) = if host >= 2 {
+        ("parallel", 2.0)
+    } else {
+        ("serial", 1.0)
+    };
     let cases = [
         (QubitModel::Perfect, 1, "serial", 1.0),
-        (QubitModel::Perfect, 2, "parallel", 2.0),
+        (QubitModel::Perfect, 2, two, granted_two),
         (noisy, 2, "serial", 1.0),
     ];
     for (model, budget, decision, granted) in cases {

@@ -97,9 +97,10 @@ pub struct ServiceConfig {
     pub max_respawns: u64,
     /// Chrome-trace span sampling: one job in `trace_sample_n` (chosen
     /// deterministically by content hash, `exec_key % n == 0`) emits
-    /// per-stage lifecycle spans. `0` disables span emission entirely;
-    /// `1` traces every job. Content-based sampling means the *same*
-    /// jobs are traced on every run of a seeded workload.
+    /// per-stage lifecycle spans, and its simulator records its `qxsim`
+    /// spans and counters. `0` disables span emission entirely; `1`
+    /// traces every job. Content-based sampling means the *same* jobs are
+    /// traced on every run of a seeded workload.
     pub trace_sample_n: u64,
     /// Tenant lanes for the weighted fair dequeue. A `"default"` lane
     /// (weight 1, no quota) is always present; jobs naming no tenant or
@@ -1439,8 +1440,11 @@ struct Claim {
     priority: u8,
     started_at: Instant,
     /// Threads granted to the execution: this worker plus every worker
-    /// parked at claim time, capped at the host's parallelism.
+    /// parked at claim time (qxsim caps it at the host's parallelism).
     threads: usize,
+    /// Whether the batch's jobs are trace-sampled (they share one
+    /// execution key, hence one sample decision).
+    sampled: bool,
 }
 
 /// How `run_claim` left the batch.
@@ -1545,6 +1549,7 @@ fn claim_batch(shared: &Shared, id: JobId) -> Option<Claim> {
         }
     }
     let exec_key = record.exec_key;
+    let sampled = record.sampled;
     let spec = record.spec.clone();
     let program = record.program.clone();
     let platform = record.platform.clone();
@@ -1578,7 +1583,7 @@ fn claim_batch(shared: &Shared, id: JobId) -> Option<Claim> {
     let priority = spec.priority;
     let inflight = state.running;
     drop(state);
-    let threads = (1 + shared.sleepers.load(Ordering::SeqCst)).min(qxsim::state::auto_threads());
+    let threads = 1 + shared.sleepers.load(Ordering::SeqCst);
     let depth = shared
         .queued_total
         .fetch_sub(batch.len(), Ordering::SeqCst)
@@ -1601,6 +1606,7 @@ fn claim_batch(shared: &Shared, id: JobId) -> Option<Claim> {
         priority,
         started_at: claim_now,
         threads,
+        sampled,
     })
 }
 
@@ -1693,10 +1699,17 @@ fn run_claim(shared: &Shared, claim: &Claim) -> RunOutcome {
         Some(Engine::Tableau) => qxsim::EngineSelect::Tableau,
         Some(Engine::PauliFrame) => qxsim::EngineSelect::PauliFrame,
     };
+    // Only trace-sampled jobs record the simulator's spans and counters,
+    // so `trace_sample_n` bounds what a long-running service keeps.
+    let telemetry = if claim.sampled {
+        shared.telemetry.clone()
+    } else {
+        Telemetry::disabled()
+    };
     let sim = Simulator::with_model(spec.qubits.to_model())
         .with_seed(spec.seed)
         .with_engine_select(select)
-        .with_telemetry(shared.telemetry.clone());
+        .with_telemetry(telemetry);
     let density =
         spec.engine == Engine::DensityMatrix || spec.force_engine == Some(Engine::DensityMatrix);
     let class = artifact.plan.circuit_class().name();
@@ -1741,10 +1754,11 @@ fn run_claim(shared: &Shared, claim: &Claim) -> RunOutcome {
         // The shared work (one state evolution, one frame sampler) runs
         // here once, on the claim's threads, before the split; the shards
         // then only sample their ranges, one thread each.
-        let prepared = match sim.prepare(&artifact.plan, claim.threads) {
+        let prepared = match sim.prepare(&artifact.plan, spec.shots, claim.threads) {
             Ok(prepared) => prepared,
             Err(e) => return fail(&e),
         };
+        let shots = prepared.shots();
         let task = Arc::new(ShardTask {
             prepared,
             batch: claim.batch.clone(),
@@ -1764,8 +1778,8 @@ fn run_claim(shared: &Shared, claim: &Claim) -> RunOutcome {
         {
             let mut state = shared.lock();
             for t in 1..shards {
-                let lo = spec.shots * t as u64 / shards as u64;
-                let hi = spec.shots * (t as u64 + 1) / shards as u64;
+                let lo = shots * t as u64 / shards as u64;
+                let hi = shots * (t as u64 + 1) / shards as u64;
                 let seq = state.next_seq;
                 state.next_seq += 1;
                 // Shards bypass the fair dequeue: they belong to a claim
@@ -1792,7 +1806,7 @@ fn run_claim(shared: &Shared, claim: &Claim) -> RunOutcome {
         return RunOutcome::Sharded {
             task,
             lo: 0,
-            hi: spec.shots / shards as u64,
+            hi: shots / shards as u64,
         };
     }
     let result = if density {

@@ -93,6 +93,9 @@ fn sharded_sampling_jobs_evolve_the_state_once() {
             ServiceConfig {
                 workers,
                 shard_min_shots: 1000,
+                // The simulator records into the service telemetry only
+                // for trace-sampled jobs.
+                trace_sample_n: 1,
                 ..ServiceConfig::default()
             },
             telemetry.clone(),
@@ -111,6 +114,46 @@ fn sharded_sampling_jobs_evolve_the_state_once() {
     for (workers, dispatches, histogram) in &runs[1..] {
         assert_eq!(dispatches, one_evolution, "{workers} workers");
         assert_eq!(histogram, reference, "{workers} workers");
+    }
+}
+
+/// The served simulator records into the service telemetry only for
+/// trace-sampled jobs: with sampling off, no `qxsim` span or counter
+/// appears; with every job sampled, sharded and unsharded jobs alike
+/// count one run and their shots.
+#[test]
+fn simulator_telemetry_follows_trace_sampling() {
+    let circuit = "qubits 3\nh q[0]\nt q[0]\ncnot q[0], q[1]\nry q[2], 0.4\nmeasure_all\n";
+    for trace_sample_n in [0, 1] {
+        let telemetry = Telemetry::enabled();
+        let service = Service::with_telemetry(
+            ServiceConfig {
+                workers: 2,
+                shard_min_shots: 1000,
+                trace_sample_n,
+                ..ServiceConfig::default()
+            },
+            telemetry.clone(),
+        );
+        let handle = service.handle();
+        let mut shards = Vec::new();
+        for (seed, shots) in [(1, 3000), (2, 500)] {
+            let spec = JobSpec::new(circuit).with_seed(seed).with_shots(shots);
+            let id = handle.submit(spec).unwrap();
+            shards.push(handle.wait(id, Duration::from_secs(60)).unwrap().shards);
+        }
+        service.shutdown();
+        assert_eq!(shards, [2, 1]);
+        let snap = telemetry.snapshot();
+        let qxsim_spans = snap.spans.iter().filter(|s| s.cat == "qxsim").count();
+        let runs = snap.counters.get("qxsim.runs").copied();
+        let shots = snap.counters.get("qxsim.shots.executed").copied();
+        if trace_sample_n == 0 {
+            assert_eq!((qxsim_spans, runs, shots), (0, None, None));
+        } else {
+            assert!(qxsim_spans > 0);
+            assert_eq!((runs, shots), (Some(2), Some(3500)));
+        }
     }
 }
 
