@@ -463,9 +463,9 @@ impl Simulator {
     /// The budget is spent at one level only. The plan's shared work (see
     /// [`Simulator::prepare`]) runs its kernels on the whole budget and its
     /// cheap draws on one thread. Per-shot replays (tableau, trajectories)
-    /// split their shots over the budget, one kernel thread each, once the
-    /// run holds enough work per thread: `2^par_min_qubits` amplitude
-    /// updates, the size at which a dense kernel pays for its threads (see
+    /// split their shots over the budget, one kernel thread each, once
+    /// each thread gets `2^par_min_qubits` units of estimated work, the
+    /// size at which a dense kernel pays for its threads (see
     /// [`par_min_qubits`]); a smaller run stays on the calling thread.
     /// Identical semantics (fault injection, telemetry, per-shot RNG
     /// streams, thread-count independence) to

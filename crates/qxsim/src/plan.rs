@@ -231,13 +231,14 @@ pub struct FusionStats {
 pub struct CompiledProgram {
     n: usize,
     /// Shared, so that cloning a plan (a run keeping it for its per-shot
-    /// replays) copies no operations.
-    ops: Arc<[PlannedOp]>,
+    /// replays) copies no operations. An `Arc<Vec>` takes over the lowered
+    /// buffer where an `Arc<[_]>` would copy it into a new allocation.
+    ops: Arc<Vec<PlannedOp>>,
     terminal: Option<TerminalMeasure>,
     sampling: bool,
     stats: FusionStats,
     class: CircuitClass,
-    stab_ops: Option<Arc<[StabOp]>>,
+    stab_ops: Option<Arc<Vec<StabOp>>>,
 }
 
 impl CompiledProgram {
@@ -342,12 +343,12 @@ impl CompiledProgram {
             };
         Ok(CompiledProgram {
             n,
-            ops: ops.into(),
+            ops: Arc::new(ops),
             terminal,
             sampling,
             stats,
             class,
-            stab_ops: stab_ops.map(Arc::from),
+            stab_ops: stab_ops.map(Arc::new),
         })
     }
 
@@ -359,7 +360,7 @@ impl CompiledProgram {
     /// The stabilizer lowering of the plan, present exactly when
     /// [`CompiledProgram::circuit_class`] is not [`CircuitClass::General`].
     pub fn stab_ops(&self) -> Option<&[StabOp]> {
-        self.stab_ops.as_deref()
+        self.stab_ops.as_deref().map(Vec::as_slice)
     }
 
     /// Number of qubits the plan executes on.
