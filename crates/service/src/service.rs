@@ -1555,8 +1555,13 @@ fn claim_batch(shared: &Shared, id: JobId) -> Option<Claim> {
     let platform = record.platform.clone();
     let akey = record.artifact_key;
     // Coalesce every still-queued job with the same execution key
-    // (including this one) into one batch.
-    let ids = state.pending.remove(&exec_key).unwrap_or_default();
+    // (including this one) into one batch. A shutdown sweep clears the
+    // coalescing map, so a lead popped just before it may be missing
+    // from it: it still runs, as in-flight work does.
+    let mut ids = state.pending.remove(&exec_key).unwrap_or_default();
+    if !ids.contains(&id.0) {
+        ids.push(id.0);
+    }
     let mut batch = Vec::with_capacity(ids.len().max(1));
     let mut attempt = 1;
     let claim_now = Instant::now();
