@@ -5,12 +5,15 @@
 //! then writes the numbers to `BENCH_qxsim.json`.
 //!
 //! Targets: ≥5x on 16-qubit 2-qubit gate application, ≥10x on noise-free
-//! 2000-shot Bell sampling.
+//! 2000-shot Bell sampling, and (on AVX2 hosts) ≥1.5x on the 16-qubit `h`.
+//! The per-class rows time each dense kernel at n=18 on the portable and
+//! the host's instruction set.
 
-use cqasm::{GateKind, GateUnitary, Program};
+use cqasm::math::{Mat2, C64};
+use cqasm::{BlockUnitary, FusedDiagonal, GateKind, GateUnitary, KernelClass, Program};
 use qca_bench::{header, row};
 use qxsim::state::reference;
-use qxsim::{EngineSelect, Simulator, StateVector};
+use qxsim::{EngineSelect, KernelIsa, Simulator, StateVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -54,6 +57,110 @@ impl KernelRow {
     fn speedup(&self) -> f64 {
         self.new_gps / self.ref_gps
     }
+}
+
+/// One kernel class timed single-threaded on both instruction sets.
+struct IsaRow {
+    kernel: &'static str,
+    qubits: Vec<usize>,
+    portable_ns: f64,
+    host_ns: f64,
+}
+
+fn one_qubit(kind: GateKind) -> Mat2 {
+    match kind.unitary() {
+        GateUnitary::One(m) => m,
+        _ => unreachable!(),
+    }
+}
+
+/// The 8x8 block of `h q0; cnot q0,q1; t q2; ry q1; cnot q2,q0` (LSB-first
+/// over its three operands), built column by column.
+fn block3() -> BlockUnitary {
+    let mut m = vec![C64::ZERO; 64];
+    for c in 0..8 {
+        let mut col = StateVector::basis_state(3, c as u64);
+        col.apply_gate(&GateKind::H, &[0]);
+        col.apply_gate(&GateKind::Cnot, &[0, 1]);
+        col.apply_gate(&GateKind::T, &[2]);
+        col.apply_gate(&GateKind::Ry(0.7), &[1]);
+        col.apply_gate(&GateKind::Cnot, &[2, 0]);
+        for (r, a) in col.amplitudes().iter().enumerate() {
+            m[r * 8 + c] = *a;
+        }
+    }
+    BlockUnitary { k: 3, m }
+}
+
+/// Nanoseconds per amplitude of each dense kernel class at `n` qubits, on
+/// the portable path and on the host's instruction set (one thread, so
+/// the rows compare the inner loops alone).
+fn isa_rows(n: usize) -> Vec<IsaRow> {
+    let layer = |k: usize| {
+        let mats = (0..k)
+            .map(|j| one_qubit(GateKind::Ry(0.3 + 0.2 * j as f64)))
+            .collect();
+        KernelClass::Fused1qLayer(mats)
+    };
+    let diag_support = [0usize, 3, 7, 11, 14, 17];
+    let diag = FusedDiagonal {
+        entries: (0..1 << diag_support.len())
+            .map(|p| C64::cis(0.37 * p as f64))
+            .collect(),
+    };
+    let cases: Vec<(&'static str, KernelClass, Vec<usize>)> = vec![
+        (
+            "General1q",
+            KernelClass::General1q(one_qubit(GateKind::Ry(0.4))),
+            vec![9],
+        ),
+        ("Fused1qLayer(k=3)", layer(3), vec![0, 17, 8]),
+        ("Fused1qLayer(k=4)", layer(4), vec![0, 17, 1, 16]),
+        (
+            "FusedDiag",
+            KernelClass::FusedDiag(diag),
+            diag_support.to_vec(),
+        ),
+        (
+            "FusedBlock(k=3)",
+            KernelClass::FusedBlock(block3()),
+            vec![1, 9, 16],
+        ),
+        ("Cnot", KernelClass::Cnot, vec![17, 1]),
+    ];
+    let base = dense_state(n);
+    let iters = iters_for(n).max(20);
+    let ns_per_amp = |s: f64| s * 1e9 / (1u64 << n) as f64;
+    cases
+        .into_iter()
+        .map(|(kernel, class, qubits)| {
+            // Both runs apply the kernel the same number of times to the
+            // same start state, so their final amplitudes must match bit
+            // for bit.
+            let timed = |isa: KernelIsa| {
+                let mut s = base.clone();
+                let t = time(|| s.apply_kernel_with(&class, &qubits, isa, 1), iters);
+                let bits: Vec<(u64, u64)> = s
+                    .amplitudes()
+                    .iter()
+                    .map(|a| (a.re.to_bits(), a.im.to_bits()))
+                    .collect();
+                (ns_per_amp(t), bits)
+            };
+            let (portable_ns, portable_bits) = timed(KernelIsa::Portable);
+            let (host_ns, host_bits) = timed(KernelIsa::host());
+            assert!(
+                portable_bits == host_bits,
+                "{kernel}: the portable and host kernels must agree bit for bit"
+            );
+            IsaRow {
+                kernel,
+                qubits,
+                portable_ns,
+                host_ns,
+            }
+        })
+        .collect()
 }
 
 /// The textbook QFT on `n` qubits: H on each line followed by the ladder
@@ -255,6 +362,26 @@ fn main() {
         ]);
     }
 
+    // Per-class kernel cost on both instruction sets (asserted bit-identical
+    // in `isa_rows`; the parity tests in qxsim cover every class).
+    let isa = KernelIsa::host();
+    let isa_n = 18usize;
+    let isa_rows = isa_rows(isa_n);
+    println!(
+        "\n== Dense kernels at n={isa_n}, ns per amplitude (portable vs {}) ==",
+        isa.name()
+    );
+    header(&["kernel", "qubits", "portable", isa.name(), "speedup"]);
+    for r in &isa_rows {
+        row(&[
+            r.kernel.to_string(),
+            format!("{:?}", r.qubits),
+            format!("{:.3}", r.portable_ns),
+            format!("{:.3}", r.host_ns),
+            format!("{:.2}x", r.portable_ns / r.host_ns),
+        ]);
+    }
+
     // Multi-shot sampling: terminal-sampling fast path vs full
     // re-simulation of every shot (identical histograms by construction;
     // asserted here as well).
@@ -422,6 +549,14 @@ fn main() {
         .find(|r| r.n == 16 && r.gate == "cnot")
         .map(|r| r.speedup())
         .unwrap_or(0.0);
+    let h_16 = rows
+        .iter()
+        .find(|r| r.n == 16 && r.gate == "h")
+        .map(|r| r.speedup())
+        .unwrap_or(0.0);
+    // The `h` floor holds the vector path to its measured gain; the
+    // portable path is the seed's scalar arithmetic and has no floor.
+    let h_16_min = (isa == KernelIsa::Avx2).then_some(1.5);
     let min_fusion = fusion_rows
         .iter()
         .map(|r| r.speedup())
@@ -430,10 +565,14 @@ fn main() {
         "\nAcceptance: 16-qubit 2q speedup {two_q_16:.2}x (target >= 5x), \
          Bell sampling speedup {sampling_speedup:.1}x (target >= 10x), \
          fusion speedup {min_fusion:.2}x (target >= 2x), \
-         stabilizer vs state-vector {stab_speedup:.0}x (target >= 50x)"
+         stabilizer vs state-vector {stab_speedup:.0}x (target >= 50x), \
+         16-qubit h speedup {h_16:.2}x (target {}, {} kernels)",
+        h_16_min.map_or("none".into(), |m| format!(">= {m}x")),
+        isa.name()
     );
 
-    let mut json = String::from("{\n  \"kernels\": [\n");
+    let mut json = format!("{{\n  \"kernel_isa\": \"{}\",\n", isa.name());
+    json.push_str("  \"kernels\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"n\": {}, \"gate\": \"{}\", \"new_gates_per_sec\": {:.1}, \
@@ -444,6 +583,21 @@ fn main() {
             r.ref_gps,
             r.speedup(),
             if i + 1 == rows.len() { "" } else { "," }
+        ));
+    }
+    json.push_str("  ],\n");
+    json.push_str(&format!("  \"kernel_classes_n{isa_n}\": [\n"));
+    for (i, r) in isa_rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"kernel\": \"{}\", \"qubits\": {:?}, \"portable_ns_per_amp\": {:.3}, \
+             \"{}_ns_per_amp\": {:.3}, \"speedup\": {:.3}}}{}\n",
+            r.kernel,
+            r.qubits,
+            r.portable_ns,
+            isa.name(),
+            r.host_ns,
+            r.portable_ns / r.host_ns,
+            if i + 1 == isa_rows.len() { "" } else { "," }
         ));
     }
     json.push_str("  ],\n");
@@ -487,7 +641,9 @@ fn main() {
         "  \"targets\": {{\"two_qubit_16q_speedup_min\": 5.0, \"two_qubit_16q_speedup\": {two_q_16:.3}, \
          \"bell_sampling_speedup_min\": 10.0, \"bell_sampling_speedup\": {sampling_speedup:.3}, \
          \"fusion_speedup_min\": 2.0, \"fusion_speedup\": {min_fusion:.3}, \
-         \"stabilizer_speedup_min\": 50.0, \"stabilizer_speedup\": {stab_speedup:.3}}}\n"
+         \"stabilizer_speedup_min\": 50.0, \"stabilizer_speedup\": {stab_speedup:.3}, \
+         \"h_16q_speedup_min\": {}, \"h_16q_speedup\": {h_16:.3}}}\n",
+        h_16_min.map_or("null".into(), |m| format!("{m:.1}"))
     ));
     json.push_str("}\n");
     std::fs::write("BENCH_qxsim.json", &json).expect("write BENCH_qxsim.json");

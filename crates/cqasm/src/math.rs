@@ -23,13 +23,25 @@ pub const EPSILON: f64 = 1e-10;
 /// let i = C64::I;
 /// assert_eq!(i * i, C64::new(-1.0, 0.0));
 /// ```
+///
+/// The layout is fixed (`#[repr(C)]`, asserted below): a `[C64]` is a
+/// `[f64]` of interleaved `re, im` pairs, which the simulator's vector
+/// kernels load directly.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct C64 {
     /// Real part.
     pub re: f64,
     /// Imaginary part.
     pub im: f64,
 }
+
+const _: () = {
+    assert!(std::mem::size_of::<C64>() == 16);
+    assert!(std::mem::align_of::<C64>() == std::mem::align_of::<f64>());
+    assert!(std::mem::offset_of!(C64, re) == 0);
+    assert!(std::mem::offset_of!(C64, im) == 8);
+};
 
 impl C64 {
     /// The additive identity, `0 + 0i`.

@@ -69,5 +69,6 @@ pub use plan::{
 pub use qubit_model::{QubitModel, RealisticParams};
 pub use stabilizer::EngineSelect;
 pub use state::{
-    par_min_qubits, parse_par_min_qubits, StateVector, MAX_1Q_LAYER_QUBITS, PAR_MIN_QUBITS,
+    par_min_qubits, parse_par_min_qubits, KernelIsa, StateVector, MAX_1Q_LAYER_QUBITS,
+    PAR_MIN_QUBITS,
 };

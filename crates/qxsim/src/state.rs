@@ -14,17 +14,34 @@
 //! of scanning all `2^n` indices and skipping non-orbit entries. Structured
 //! gates (diagonal, anti-diagonal, CNOT/CZ/SWAP, controlled phase) dispatch
 //! to specialised kernels via [`cqasm::KernelClass`]; everything else falls
-//! back to the generic dense matrix kernels. Large registers are chunked
-//! across threads (see [`par`]). The original scan-and-skip kernels are
-//! preserved in [`reference`] as ground truth for property tests and as the
-//! benchmark baseline.
+//! back to the generic dense matrix kernels.
+//!
+//! Every dense kernel's range loop is written once, over a two-amplitude
+//! lane type (the `lane` module), and compiled twice: portable scalar code
+//! and AVX2 (picked once per call where the host has it). Both compute the
+//! same IEEE expression per amplitude, so the result is bit-identical on
+//! every host. Serial and threaded sweeps run the same range loop: a large
+//! register's work units are split into contiguous ranges across threads.
+//! The original scan-and-skip kernels are preserved in [`reference`] as
+//! ground truth for property tests and as the benchmark baseline.
+
+mod lane;
+
+#[cfg(test)]
+mod isa_tests;
+
+pub use lane::KernelIsa;
+
+#[cfg(target_arch = "x86_64")]
+use lane::Avx2;
+use lane::{Lane, Portable};
 
 use cqasm::math::{Mat2, Mat4, C64, EPSILON};
 use cqasm::{BlockUnitary, FusedDiagonal, KernelClass};
 use rand::Rng;
 
 /// Analytic default for the minimum register size (in qubits) at which the
-/// dense 1q/2q kernels are split across threads. Below this the per-thread
+/// dense kernels are split across threads. Below this the per-thread
 /// spawn overhead exceeds the arithmetic saved; at `2^18` amplitudes (4 MiB
 /// of state) the split starts to pay on multi-core hosts. The effective
 /// threshold is [`par_min_qubits`], tunable via `QCA_PAR_MIN_QUBITS`.
@@ -70,14 +87,6 @@ pub(crate) fn auto_threads() -> usize {
 #[inline(always)]
 fn insert_bit(k: usize, pos: usize) -> usize {
     ((k >> pos) << (pos + 1)) | (k & ((1usize << pos) - 1))
-}
-
-/// Expands a compressed index by inserting `0` bits at the two *sorted*
-/// positions `p0 < p1` (final bit positions in the expanded index).
-#[inline(always)]
-fn insert_two_bits(k: usize, p0: usize, p1: usize) -> usize {
-    debug_assert!(p0 < p1);
-    insert_bit(insert_bit(k, p0), p1)
 }
 
 /// A pure quantum state of `n` qubits as a dense amplitude vector.
@@ -279,43 +288,11 @@ impl StateVector {
 
     /// Applies a single-qubit unitary to qubit `q`.
     ///
-    /// Registers of [`par_min_qubits`] or more qubits are chunked across
-    /// the state's thread budget (see [`par`]); the result is bit-identical
-    /// either way since every amplitude pair is updated independently.
+    /// Registers of [`par_min_qubits`] or more qubits are split across the
+    /// state's thread budget; the result is bit-identical either way since
+    /// every amplitude pair is updated independently.
     pub fn apply_1q(&mut self, m: &Mat2, q: usize) {
-        debug_assert!(q < self.n);
-        let threads = self.sweep_threads();
-        if threads > 1 {
-            par::apply_1q_threaded(self, m, q, threads);
-        } else {
-            let pairs = self.amps.len() >> 1;
-            self.apply_1q_range(m, q, 0, pairs);
-        }
-    }
-
-    /// Applies `m` to the amplitude pairs with pair index in `lo..hi`.
-    /// Pair index `p` expands to the basis pair `(insert_bit(p, q),
-    /// insert_bit(p, q) | 1 << q)`.
-    ///
-    /// Consecutive pair indices within a `2^q`-aligned block map to
-    /// consecutive basis indices, so the range is walked block-by-block
-    /// with a contiguous inner loop (one `insert_bit` per block, not per
-    /// pair) to keep the traversal as cheap as the classic strided form.
-    fn apply_1q_range(&mut self, m: &Mat2, q: usize, lo: usize, hi: usize) {
-        let bit = 1usize << q;
-        let [[m00, m01], [m10, m11]] = m.0;
-        let mut p = lo;
-        while p < hi {
-            let run = (bit - (p & (bit - 1))).min(hi - p);
-            let i0 = insert_bit(p, q);
-            for j in 0..run {
-                let a0 = self.amps[i0 + j];
-                let a1 = self.amps[i0 + j + bit];
-                self.amps[i0 + j] = m00 * a0 + m01 * a1;
-                self.amps[i0 + j + bit] = m10 * a0 + m11 * a1;
-            }
-            p += run;
-        }
+        self.apply_kernel(&KernelClass::General1q(*m), &[q]);
     }
 
     /// Applies a two-qubit unitary. The matrix is in the basis
@@ -323,47 +300,14 @@ impl StateVector {
     /// [`cqasm::GateUnitary::Two`]).
     ///
     /// Enumerates the `2^(n-2)` four-element orbits directly (no scan over
-    /// non-orbit indices) and chunks them across threads for large
-    /// registers, like [`StateVector::apply_1q`].
+    /// non-orbit indices), split across threads like
+    /// [`StateVector::apply_1q`].
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if operands alias or are out of range.
+    /// Panics if operands alias or are out of range.
     pub fn apply_2q(&mut self, m: &Mat4, q_hi: usize, q_lo: usize) {
-        debug_assert!(q_hi != q_lo && q_hi < self.n && q_lo < self.n);
-        let threads = self.sweep_threads();
-        if threads > 1 {
-            par::apply_2q_threaded(self, m, q_hi, q_lo, threads);
-        } else {
-            let orbits = self.amps.len() >> 2;
-            self.apply_2q_range(m, q_hi, q_lo, 0, orbits);
-        }
-    }
-
-    /// Applies `m` to the four-element orbits with orbit index in `lo..hi`.
-    fn apply_2q_range(&mut self, m: &Mat4, q_hi: usize, q_lo: usize, lo: usize, hi: usize) {
-        let bh = 1usize << q_hi;
-        let bl = 1usize << q_lo;
-        let (p0, p1) = if q_hi < q_lo {
-            (q_hi, q_lo)
-        } else {
-            (q_lo, q_hi)
-        };
-        let mm = &m.0;
-        for k in lo..hi {
-            let i00 = insert_two_bits(k, p0, p1);
-            let i01 = i00 | bl;
-            let i10 = i00 | bh;
-            let i11 = i00 | bh | bl;
-            let a0 = self.amps[i00];
-            let a1 = self.amps[i01];
-            let a2 = self.amps[i10];
-            let a3 = self.amps[i11];
-            self.amps[i00] = mm[0][0] * a0 + mm[0][1] * a1 + mm[0][2] * a2 + mm[0][3] * a3;
-            self.amps[i01] = mm[1][0] * a0 + mm[1][1] * a1 + mm[1][2] * a2 + mm[1][3] * a3;
-            self.amps[i10] = mm[2][0] * a0 + mm[2][1] * a1 + mm[2][2] * a2 + mm[2][3] * a3;
-            self.amps[i11] = mm[3][0] * a0 + mm[3][1] * a1 + mm[3][2] * a2 + mm[3][3] * a3;
-        }
+        self.apply_kernel(&KernelClass::General2q(*m), &[q_hi, q_lo]);
     }
 
     /// Applies a single-qubit unitary to `target` conditioned on every qubit
@@ -371,49 +315,14 @@ impl StateVector {
     /// oracles of Grover search.
     ///
     /// Enumerates only the `2^(n - controls - 1)` amplitude pairs where all
-    /// control bits are set, by inserting the fixed control/target bits into
-    /// a compressed counter.
+    /// control bits are set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand repeats or is out of range.
     pub fn apply_controlled_1q(&mut self, m: &Mat2, controls: &[usize], target: usize) {
-        debug_assert!(!controls.contains(&target));
-        // Fixed bits of the orbit base, sorted by position: each control is
-        // pinned to 1, the target to 0.
-        let mut fixed: Vec<(usize, usize)> = controls.iter().map(|&c| (c, 1)).collect();
-        fixed.push((target, 0));
-        fixed.sort_unstable();
-        let pairs = self.amps.len() >> fixed.len();
-        let threads = self.sweep_threads();
-        if threads > 1 {
-            par::apply_controlled_1q_threaded(self, m, controls, target, threads);
-        } else {
-            self.apply_controlled_1q_range(m, &fixed, target, 0, pairs);
-        }
-    }
-
-    /// Applies `m` to the fixed-bit orbit pairs with pair index in `lo..hi`:
-    /// pair index `k` expands to the basis pair by inserting every
-    /// `(position, value)` of `fixed` (controls pinned to 1, target to 0),
-    /// then setting the target bit for the second element.
-    fn apply_controlled_1q_range(
-        &mut self,
-        m: &Mat2,
-        fixed: &[(usize, usize)],
-        target: usize,
-        lo: usize,
-        hi: usize,
-    ) {
-        let tbit = 1usize << target;
-        let [[m00, m01], [m10, m11]] = m.0;
-        for k in lo..hi {
-            let mut i0 = k;
-            for &(pos, val) in fixed {
-                i0 = ((i0 >> pos) << (pos + 1)) | (val << pos) | (i0 & ((1usize << pos) - 1));
-            }
-            let i1 = i0 | tbit;
-            let a0 = self.amps[i0];
-            let a1 = self.amps[i1];
-            self.amps[i0] = m00 * a0 + m01 * a1;
-            self.amps[i1] = m10 * a0 + m11 * a1;
-        }
+        let sweep = Sweep::controlled(self.n, m, controls, target);
+        self.run(&sweep);
     }
 
     /// Applies a fused diagonal operator over the given support qubits:
@@ -421,57 +330,13 @@ impl StateVector {
     /// (one sweep over all `2^n` amplitudes, no matter how many gates were
     /// fused into the table).
     ///
-    /// Registers at or above [`par_min_qubits`] are chunked across threads;
-    /// the result is bit-identical since every amplitude is independent.
-    pub fn apply_fused_diag(&mut self, diag: &FusedDiagonal, qubits: &[usize]) {
-        debug_assert_eq!(diag.entries.len(), 1usize << qubits.len());
-        let threads = self.sweep_threads();
-        if threads > 1 {
-            par::apply_fused_diag_threaded(self, diag, qubits, threads);
-        } else {
-            let len = self.amps.len();
-            self.apply_fused_diag_range(&diag.entries, qubits, 0, len);
-        }
-    }
-
-    /// Scales the amplitudes with basis index in `lo..hi` by their fused
-    /// diagonal entry.
+    /// # Panics
     ///
-    /// The pattern gather (bit `j` of the table index = the state of
-    /// `qubits[j]`) is split at bit `m`: contributions from basis bits
-    /// below `m` are tabulated once, contributions from the bits at or
-    /// above `m` only change every `2^m` indices, so the hot loop is one
-    /// table load, an OR and a complex multiply per amplitude.
-    fn apply_fused_diag_range(&mut self, entries: &[C64], qubits: &[usize], lo: usize, hi: usize) {
-        const LOW_BITS_MAX: usize = 11;
-        let m = self.n.min(LOW_BITS_MAX);
-        let low_len = 1usize << m;
-        // Support is capped at MAX_FUSED_DIAG_QUBITS = 12, so patterns fit u16.
-        let mut low_table = vec![0u16; low_len];
-        for (low_bits, slot) in low_table.iter_mut().enumerate() {
-            let mut pat = 0usize;
-            for (j, &q) in qubits.iter().enumerate() {
-                if q < m {
-                    pat |= ((low_bits >> q) & 1) << j;
-                }
-            }
-            *slot = pat as u16;
-        }
-        let mut i = lo;
-        while i < hi {
-            let mut high_pat = 0usize;
-            for (j, &q) in qubits.iter().enumerate() {
-                if q >= m {
-                    high_pat |= ((i >> q) & 1) << j;
-                }
-            }
-            let run_end = hi.min((i | (low_len - 1)) + 1);
-            for idx in i..run_end {
-                let pat = high_pat | low_table[idx & (low_len - 1)] as usize;
-                self.amps[idx] *= entries[pat];
-            }
-            i = run_end;
-        }
+    /// Panics if `diag` does not have `2^qubits.len()` entries, or a
+    /// support qubit repeats or is out of range.
+    pub fn apply_fused_diag(&mut self, diag: &FusedDiagonal, qubits: &[usize]) {
+        let sweep = Sweep::fused_diag(self.n, &diag.entries, qubits);
+        self.run(&sweep);
     }
 
     /// Applies a fused dense block over `k <= 3` support qubits in one
@@ -480,85 +345,12 @@ impl StateVector {
     /// The block's index convention is LSB-first over `qubits` (bit `j` of
     /// a row/column index = the state of `qubits[j]`).
     ///
-    /// Registers at or above [`par_min_qubits`] are chunked across threads
-    /// by orbit range; the result is bit-identical to the serial pass.
-    ///
     /// # Panics
     ///
-    /// Panics if `block.k != qubits.len()` or `block.k > 3`.
+    /// Panics if `block.k != qubits.len()` or `block.k` is not 1 to 3.
     pub fn apply_block(&mut self, block: &BlockUnitary, qubits: &[usize]) {
-        assert_eq!(block.k, qubits.len(), "block operand count mismatch");
-        assert!(block.k <= 3, "fused blocks are limited to 3 qubits");
-        let orbits = self.amps.len() >> block.k;
-        let threads = self.sweep_threads();
-        if threads > 1 {
-            par::apply_block_threaded(self, block, qubits, threads);
-        } else {
-            self.apply_block_range(block, qubits, 0, orbits);
-        }
-    }
-
-    /// Applies the block to the orbits with orbit index in `lo..hi`,
-    /// monomorphised over the block width so the matvec unrolls.
-    fn apply_block_range(&mut self, block: &BlockUnitary, qubits: &[usize], lo: usize, hi: usize) {
-        match block.k {
-            1 => self.block_orbits::<1, 2>(block, qubits, lo, hi),
-            2 => self.block_orbits::<2, 4>(block, qubits, lo, hi),
-            _ => self.block_orbits::<3, 8>(block, qubits, lo, hi),
-        }
-    }
-
-    /// The dense `DIM x DIM` orbit pass (`DIM = 2^K`): gather, matvec,
-    /// scatter.
-    fn block_orbits<const K: usize, const DIM: usize>(
-        &mut self,
-        block: &BlockUnitary,
-        qubits: &[usize],
-        lo: usize,
-        hi: usize,
-    ) {
-        debug_assert_eq!(block.k, K);
-        debug_assert_eq!(1usize << K, DIM);
-        let mut sorted = [0usize; K];
-        sorted.copy_from_slice(qubits);
-        sorted.sort_unstable();
-        // offsets[l]: the basis offset of local index l from the orbit base
-        // (the OR of operand bit j for every set bit j of l).
-        let mut offsets = [0usize; DIM];
-        for (l, off) in offsets.iter_mut().enumerate() {
-            for (j, &q) in qubits.iter().enumerate() {
-                if (l >> j) & 1 == 1 {
-                    *off |= 1usize << q;
-                }
-            }
-        }
-        let mut m = [C64::ZERO; 64];
-        m[..DIM * DIM].copy_from_slice(&block.m);
-        let mut a = [C64::ZERO; DIM];
-        let amps = self.amps.as_mut_slice();
-        for k in lo..hi {
-            let mut base = k;
-            for &p in &sorted {
-                base = insert_bit(base, p);
-            }
-            debug_assert!(base | offsets[DIM - 1] < amps.len());
-            // SAFETY: `base` has zeros in every support-bit position and
-            // `base | offsets[DIM - 1]` (all support bits set) is the
-            // largest index of the orbit, below `amps.len()` for any
-            // in-range orbit index.
-            unsafe {
-                for (l, slot) in a.iter_mut().enumerate() {
-                    *slot = *amps.get_unchecked(base | offsets[l]);
-                }
-                for r in 0..DIM {
-                    let mut acc = C64::ZERO;
-                    for (c, amp) in a.iter().enumerate() {
-                        acc += m[r * DIM + c] * *amp;
-                    }
-                    *amps.get_unchecked_mut(base | offsets[r]) = acc;
-                }
-            }
-        }
+        let sweep = Sweep::block(self.n, block, qubits);
+        self.run(&sweep);
     }
 
     /// Applies a layer of independent single-qubit unitaries — factor `j`
@@ -568,143 +360,106 @@ impl StateVector {
     /// applying the gates separately, but one memory sweep instead of one
     /// per gate.
     ///
-    /// Registers at or above [`par_min_qubits`] are chunked across threads
-    /// by orbit range; the result is bit-identical to the serial pass.
-    ///
     /// # Panics
     ///
     /// Panics if `mats.len() != qubits.len()` or the layer spans more than
-    /// 3 qubits.
+    /// [`MAX_1Q_LAYER_QUBITS`] qubits.
     pub fn apply_1q_layer(&mut self, mats: &[Mat2], qubits: &[usize]) {
-        assert_eq!(mats.len(), qubits.len(), "layer factor count mismatch");
-        assert!(
-            !qubits.is_empty() && qubits.len() <= MAX_1Q_LAYER_QUBITS,
-            "fused 1q layers are limited to {MAX_1Q_LAYER_QUBITS} qubits"
-        );
-        let orbits = self.amps.len() >> qubits.len();
-        let threads = self.sweep_threads();
-        if threads > 1 {
-            par::apply_1q_layer_threaded(self, mats, qubits, threads);
-        } else {
-            let (sorted, offsets) = layer_tables(qubits);
-            // SAFETY: `&mut self` gives exclusive access to the full
-            // amplitude storage, and `0..orbits` covers exactly the
-            // in-bounds orbits.
-            unsafe {
-                layer_pass_raw(self.amps.as_mut_ptr(), mats, &sorted, &offsets, 0, orbits);
-            }
-        }
+        let sweep = Sweep::layer(self.n, mats, qubits);
+        self.run(&sweep);
     }
 
     /// Applies the diagonal unitary `diag(c0, c1)` to qubit `q` (Z, S, T,
     /// Rz, ...): every amplitude is scaled, none move.
     pub fn apply_diagonal_1q(&mut self, c0: C64, c1: C64, q: usize) {
-        debug_assert!(q < self.n);
-        let stride = 1usize << q;
-        let mut base = 0usize;
-        while base < self.amps.len() {
-            for a in &mut self.amps[base..base + stride] {
-                *a *= c0;
-            }
-            for a in &mut self.amps[base + stride..base + (stride << 1)] {
-                *a *= c1;
-            }
-            base += stride << 1;
-        }
+        self.apply_kernel(&KernelClass::Diagonal1q(c0, c1), &[q]);
     }
 
     /// Applies the anti-diagonal unitary `[[0, c0], [c1, 0]]` to qubit `q`:
     /// each amplitude pair swaps, scaled by `c0` (new `|0>` row) and `c1`
     /// (new `|1>` row). X is `c0 = c1 = 1`; Y is `c0 = -i`, `c1 = i`.
     pub fn apply_antidiagonal_1q(&mut self, c0: C64, c1: C64, q: usize) {
-        debug_assert!(q < self.n);
-        let bit = 1usize << q;
-        for p in 0..self.amps.len() >> 1 {
-            let i0 = insert_bit(p, q);
-            let i1 = i0 | bit;
-            let a0 = self.amps[i0];
-            let a1 = self.amps[i1];
-            self.amps[i0] = c0 * a1;
-            self.amps[i1] = c1 * a0;
-        }
+        self.apply_kernel(&KernelClass::AntiDiagonal1q(c0, c1), &[q]);
     }
 
     /// Applies CNOT as a pure index permutation: swaps each amplitude pair
     /// whose control bit is set.
     pub fn apply_cnot(&mut self, control: usize, target: usize) {
-        debug_assert!(control != target && control < self.n && target < self.n);
-        let cbit = 1usize << control;
-        let tbit = 1usize << target;
-        let (p0, p1) = if control < target {
-            (control, target)
-        } else {
-            (target, control)
-        };
-        for k in 0..self.amps.len() >> 2 {
-            let i10 = insert_two_bits(k, p0, p1) | cbit;
-            self.amps.swap(i10, i10 | tbit);
-        }
+        self.apply_kernel(&KernelClass::Cnot, &[control, target]);
     }
 
     /// Applies CZ: negates the amplitudes with both qubit bits set.
     pub fn apply_cz(&mut self, a: usize, b: usize) {
-        self.apply_controlled_phase(-C64::ONE, a, b);
+        self.apply_kernel(&KernelClass::Cz, &[a, b]);
     }
 
     /// Applies a controlled phase (CZ, `cr`, `crk`): multiplies the
     /// amplitudes with both qubit bits set by `phase`.
     pub fn apply_controlled_phase(&mut self, phase: C64, a: usize, b: usize) {
-        debug_assert!(a != b && a < self.n && b < self.n);
-        let both = (1usize << a) | (1usize << b);
-        let (p0, p1) = if a < b { (a, b) } else { (b, a) };
-        for k in 0..self.amps.len() >> 2 {
-            let i11 = insert_two_bits(k, p0, p1) | both;
-            self.amps[i11] *= phase;
-        }
+        self.apply_kernel(&KernelClass::ControlledPhase(phase), &[a, b]);
     }
 
     /// Applies SWAP as a pure index permutation: exchanges the `|01>` and
     /// `|10>` amplitudes of each orbit.
     pub fn apply_swap(&mut self, a: usize, b: usize) {
-        debug_assert!(a != b && a < self.n && b < self.n);
-        let ba = 1usize << a;
-        let bb = 1usize << b;
-        let (p0, p1) = if a < b { (a, b) } else { (b, a) };
-        for k in 0..self.amps.len() >> 2 {
-            let i00 = insert_two_bits(k, p0, p1);
-            self.amps.swap(i00 | ba, i00 | bb);
-        }
+        self.apply_kernel(&KernelClass::Swap, &[a, b]);
     }
 
     /// Applies a pre-classified kernel (see [`cqasm::GateKind::kernel`]) to
     /// the given operands. This is the dispatch point the compiled shot
     /// plans use: classification happens once per program, not per shot.
     ///
+    /// The kernel runs on the host's fastest instruction set
+    /// ([`KernelIsa::host`]) and, from [`par_min_qubits`] qubits up, over
+    /// the state's thread budget. Every choice gives bit-identical
+    /// amplitudes.
+    ///
     /// # Panics
     ///
-    /// Panics in debug builds if operand indices are out of range or the
-    /// operand count does not match the kernel's arity.
+    /// Panics if an operand repeats or is out of range, or the operand
+    /// count does not match the kernel's arity.
     pub fn apply_kernel(&mut self, kernel: &KernelClass, qubits: &[usize]) {
-        match kernel {
-            KernelClass::Identity => {}
-            KernelClass::Diagonal1q(c0, c1) => self.apply_diagonal_1q(*c0, *c1, qubits[0]),
-            KernelClass::AntiDiagonal1q(c0, c1) => self.apply_antidiagonal_1q(*c0, *c1, qubits[0]),
-            KernelClass::General1q(m) => self.apply_1q(m, qubits[0]),
-            KernelClass::Cnot => self.apply_cnot(qubits[0], qubits[1]),
-            KernelClass::Cz => self.apply_cz(qubits[0], qubits[1]),
-            KernelClass::Swap => self.apply_swap(qubits[0], qubits[1]),
-            KernelClass::ControlledPhase(p) => {
-                self.apply_controlled_phase(*p, qubits[0], qubits[1])
-            }
-            KernelClass::General2q(m) => self.apply_2q(m, qubits[0], qubits[1]),
-            KernelClass::ControlledControlled(m) => {
-                self.apply_controlled_1q(m, &qubits[..2], qubits[2])
-            }
-            KernelClass::Fused1q(m) => self.apply_1q(m, qubits[0]),
-            KernelClass::FusedDiag(d) => self.apply_fused_diag(d, qubits),
-            KernelClass::FusedBlock(b) => self.apply_block(b, qubits),
-            KernelClass::Fused1qLayer(mats) => self.apply_1q_layer(mats, qubits),
+        self.apply_kernel_with(kernel, qubits, kernel_isa(), self.sweep_threads());
+    }
+
+    /// [`StateVector::apply_kernel`] on the instruction set `isa` (the
+    /// portable path where the host lacks it), split over `threads`
+    /// threads whatever the register size. Benchmarks and tests use it to
+    /// compare the paths; the amplitudes are bit-identical for every
+    /// choice.
+    pub fn apply_kernel_with(
+        &mut self,
+        kernel: &KernelClass,
+        qubits: &[usize],
+        isa: KernelIsa,
+        threads: usize,
+    ) {
+        if let Some(sweep) = Sweep::of(self.n, kernel, qubits) {
+            self.run_with(&sweep, isa, threads);
         }
+    }
+
+    /// Runs a kernel on the host's instruction set over the state's
+    /// thread budget.
+    fn run(&mut self, sweep: &Sweep) {
+        self.run_with(sweep, kernel_isa(), self.sweep_threads());
+    }
+
+    /// Runs every work unit of a kernel, split into `threads` contiguous
+    /// unit ranges.
+    fn run_with(&mut self, sweep: &Sweep, isa: KernelIsa, threads: usize) {
+        assert_eq!(sweep.n, self.n, "kernel built for another register");
+        let isa = isa.usable();
+        let amps = AmpsPtr(self.amps.as_mut_ptr());
+        split(threads, sweep.units(), |lo, hi| {
+            // SAFETY: the sweep was built for this register's `n` (asserted
+            // above) and its constructor checked that every index it
+            // touches lies below `2^n = amps.len()`; `split` hands out
+            // disjoint unit ranges and distinct units touch distinct
+            // amplitudes; `usable` only picks an instruction set the host
+            // has.
+            unsafe { sweep.range_on(isa, amps.get(), lo, hi) }
+        });
     }
 
     /// Multiplies the amplitude of every basis state selected by `pred` by
@@ -856,176 +611,652 @@ impl StateVector {
 /// sweet spot: wider layers cut memory passes but each extra factor
 /// doubles the gather footprint per orbit, and past `2^4` amplitudes the
 /// strided gather (page-sized strides for high qubits) costs more than
-/// the passes it saves. The kernel itself handles widths up to 8 (see
-/// [`layer_pass_raw`]) so this cap can be retuned without code changes.
+/// the passes it saves.
 pub const MAX_1Q_LAYER_QUBITS: usize = 4;
 
-/// Precomputes the sorted support and the orbit-local offset table for a
-/// 1q layer: `offsets[l]` is the basis offset of local index `l` from the
-/// orbit base (the OR of operand bit `j` for every set bit `j` of `l`).
-fn layer_tables(qubits: &[usize]) -> (Vec<usize>, Vec<usize>) {
-    let mut sorted: Vec<usize> = qubits.to_vec();
-    sorted.sort_unstable();
-    let dim = 1usize << qubits.len();
-    let mut offsets = vec![0usize; dim];
-    for (l, off) in offsets.iter_mut().enumerate() {
-        for (j, &q) in qubits.iter().enumerate() {
-            if (l >> j) & 1 == 1 {
-                *off |= 1usize << q;
+/// The most amplitudes an orbit kernel updates per orbit: a full
+/// [`MAX_1Q_LAYER_QUBITS`] layer (fused blocks need at most 8).
+const MAX_ORBIT_DIM: usize = 1 << MAX_1Q_LAYER_QUBITS;
+
+/// The instruction set kernel calls dispatch to: the host's, unless a test
+/// forced this thread onto the portable path (`isa_tests::portable_only`).
+fn kernel_isa() -> KernelIsa {
+    #[cfg(test)]
+    if isa_tests::PORTABLE_ONLY.with(std::cell::Cell::get) {
+        return KernelIsa::Portable;
+    }
+    KernelIsa::host()
+}
+
+/// Runs `f(lo, hi)` over `0..units` cut into `threads` contiguous ranges:
+/// the first on the calling thread, each other on a scoped thread.
+fn split(threads: usize, units: usize, f: impl Fn(usize, usize) + Sync) {
+    let threads = threads.clamp(1, units.max(1));
+    if threads == 1 {
+        return f(0, units);
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        for t in 1..threads {
+            scope.spawn(move || f(units * t / threads, units * (t + 1) / threads));
+        }
+        f(0, units / threads);
+    });
+}
+
+/// The amplitude storage as a pointer a kernel's threads share.
+struct AmpsPtr(*mut C64);
+
+// SAFETY: the pointer is dereferenced only inside `StateVector::run_with`,
+// which holds the `&mut StateVector` it came from for the whole thread
+// scope, and each thread touches only the amplitudes of its own unit range;
+// those sets are disjoint, so no amplitude is accessed from two threads.
+unsafe impl Sync for AmpsPtr {}
+
+impl AmpsPtr {
+    /// The pointer (a method, so closures capture the `Sync` wrapper rather
+    /// than the bare pointer field).
+    fn get(&self) -> *mut C64 {
+        self.0
+    }
+}
+
+/// The bit mask of a kernel's operand qubits.
+///
+/// # Panics
+///
+/// Panics if a qubit is out of range or repeated: every pointer a kernel
+/// forms relies on this check.
+fn support_mask(n: usize, qubits: &[usize]) -> usize {
+    qubits.iter().fold(0usize, |mask, &q| {
+        assert!(
+            q < n && mask >> q & 1 == 0,
+            "qubit operands must be distinct and below {n}"
+        );
+        mask | 1 << q
+    })
+}
+
+/// Inserts a `0` bit at every set position of `mask`, lowest first: maps
+/// an orbit index to its orbit's base state.
+#[inline(always)]
+fn deposit(mut k: usize, mut mask: usize) -> usize {
+    while mask != 0 {
+        k = insert_bit(k, mask.trailing_zeros() as usize);
+        mask &= mask - 1;
+    }
+    k
+}
+
+/// One dense kernel call, ready to run over any range of its work units.
+/// Serial and threaded runs call the same [`Sweep::range`].
+struct Sweep<'a> {
+    /// Qubit count of the register the kernel was built for.
+    n: usize,
+    body: Body<'a>,
+}
+
+enum Body<'a> {
+    Orbits(Orbits, OrbitOp<'a>),
+    FusedDiag(DiagTable<'a>),
+}
+
+/// What an orbit kernel does to each orbit's amplitudes.
+enum OrbitOp<'a> {
+    /// `[m00 a0 + m01 a1, m10 a0 + m11 a1]`.
+    Rotate(Mat2),
+    /// `[a0 c0, a1 c1]`.
+    Scale(C64, C64),
+    /// `[c0 a1, c1 a0]`.
+    AntiDiag(C64, C64),
+    /// `[a1, a0]`.
+    Exchange,
+    /// `[a0 p]`.
+    Phase(C64),
+    /// The 4x4 matvec over `[a00, a01, a10, a11]`.
+    Dense2q(&'a Mat4),
+    /// The `2^k x 2^k` block matvec.
+    Block(&'a [C64]),
+    /// One pair rotation per factor, factor `j` on local bit `j`.
+    Layer(&'a [Mat2]),
+}
+
+impl<'a> Sweep<'a> {
+    /// The sweep of a classified kernel, or `None` for the identity.
+    fn of(n: usize, kernel: &'a KernelClass, q: &'a [usize]) -> Option<Sweep<'a>> {
+        let bit = |i: usize| 1usize << q[i];
+        let orbits = |op| Body::Orbits(Orbits::dense(n, &q[..1]), op);
+        let pair = |offsets: &[usize], op| Body::Orbits(Orbits::new(n, &q[..2], offsets), op);
+        let body = match kernel {
+            KernelClass::Identity => return None,
+            KernelClass::Diagonal1q(c0, c1) => orbits(OrbitOp::Scale(*c0, *c1)),
+            KernelClass::AntiDiagonal1q(c0, c1) => orbits(OrbitOp::AntiDiag(*c0, *c1)),
+            KernelClass::General1q(m) | KernelClass::Fused1q(m) => orbits(OrbitOp::Rotate(*m)),
+            KernelClass::Cnot => pair(&[bit(0), bit(0) | bit(1)], OrbitOp::Exchange),
+            KernelClass::Swap => pair(&[bit(0), bit(1)], OrbitOp::Exchange),
+            KernelClass::Cz => pair(&[bit(0) | bit(1)], OrbitOp::Phase(-C64::ONE)),
+            KernelClass::ControlledPhase(p) => pair(&[bit(0) | bit(1)], OrbitOp::Phase(*p)),
+            // Local index bit 0 is the second operand (`q_lo`).
+            KernelClass::General2q(m) => {
+                Body::Orbits(Orbits::dense(n, &[q[1], q[0]]), OrbitOp::Dense2q(m))
             }
-        }
+            KernelClass::ControlledControlled(m) => {
+                return Some(Sweep::controlled(n, m, &q[..2], q[2]))
+            }
+            KernelClass::FusedDiag(d) => return Some(Sweep::fused_diag(n, &d.entries, q)),
+            KernelClass::FusedBlock(b) => return Some(Sweep::block(n, b, q)),
+            KernelClass::Fused1qLayer(mats) => return Some(Sweep::layer(n, mats, q)),
+        };
+        Some(Sweep { n, body })
     }
-    (sorted, offsets)
-}
 
-/// The factored 1q-layer orbit pass over raw amplitude storage: each orbit
-/// in `lo..hi` is gathered into an L1-resident buffer, every factor
-/// rotates its amplitude pairs in the buffer (branchless strided walk),
-/// and the orbit is scattered back — the same arithmetic as applying the
-/// gates separately, in one memory sweep.
-///
-/// # Safety
-///
-/// `amps` must point to storage containing every basis index `base |
-/// offsets[l]` reachable from an orbit index in `lo..hi`, and the caller
-/// must have exclusive access to those indices (disjoint orbit ranges on
-/// disjoint workers are fine).
-unsafe fn layer_pass_raw(
-    amps: *mut C64,
-    mats: &[Mat2],
-    sorted: &[usize],
-    offsets: &[usize],
-    lo: usize,
-    hi: usize,
-) {
-    // Monomorphize per width so the factor loop unrolls into fixed-stride
-    // passes the compiler can vectorize.
-    match mats.len() {
-        1 => layer_orbits::<1, 2>(amps, mats, sorted, offsets, lo, hi),
-        2 => layer_orbits::<2, 4>(amps, mats, sorted, offsets, lo, hi),
-        3 => layer_orbits::<3, 8>(amps, mats, sorted, offsets, lo, hi),
-        4 => layer_orbits::<4, 16>(amps, mats, sorted, offsets, lo, hi),
-        5 => layer_orbits::<5, 32>(amps, mats, sorted, offsets, lo, hi),
-        6 => layer_orbits::<6, 64>(amps, mats, sorted, offsets, lo, hi),
-        7 => layer_orbits::<7, 128>(amps, mats, sorted, offsets, lo, hi),
-        8 => layer_orbits::<8, 256>(amps, mats, sorted, offsets, lo, hi),
-        k => unreachable!("fused 1q layer width {k} exceeds {MAX_1Q_LAYER_QUBITS}"),
+    /// `m` on `target` where every control is 1: the orbit pins the
+    /// controls to 1 and pairs the target's two values.
+    fn controlled(n: usize, m: &Mat2, controls: &[usize], target: usize) -> Sweep<'a> {
+        let ones: usize = controls.iter().map(|&c| 1usize << c).sum();
+        let mut bits = controls.to_vec();
+        bits.push(target);
+        let orbits = Orbits::new(n, &bits, &[ones, ones | 1usize << target]);
+        let body = Body::Orbits(orbits, OrbitOp::Rotate(*m));
+        Sweep { n, body }
     }
-}
 
-/// The width-`K` instantiation of the layer pass (`DIM` must be `2^K`).
-///
-/// # Safety
-///
-/// Same contract as [`layer_pass_raw`], plus `mats`/`sorted` must hold
-/// exactly `K` entries and `offsets` exactly `DIM`.
-unsafe fn layer_orbits<const K: usize, const DIM: usize>(
-    amps: *mut C64,
-    mats: &[Mat2],
-    sorted: &[usize],
-    offsets: &[usize],
-    lo: usize,
-    hi: usize,
-) {
-    let mut m = [[[C64::ZERO; 2]; 2]; K];
-    for (slot, mat) in m.iter_mut().zip(mats) {
-        *slot = mat.0;
+    fn fused_diag(n: usize, entries: &'a [C64], qubits: &'a [usize]) -> Sweep<'a> {
+        let body = Body::FusedDiag(DiagTable::new(n, entries, qubits));
+        Sweep { n, body }
     }
-    let mut sp = [0usize; K];
-    sp.copy_from_slice(&sorted[..K]);
-    let mut off = [0usize; DIM];
-    off.copy_from_slice(&offsets[..DIM]);
-    let mut buf = [C64::ZERO; DIM];
-    for orbit in lo..hi {
-        let mut base = orbit;
-        for &p in sp.iter() {
-            base = insert_bit(base, p);
+
+    fn block(n: usize, block: &'a BlockUnitary, qubits: &[usize]) -> Sweep<'a> {
+        assert_eq!(block.k, qubits.len(), "block operand count mismatch");
+        assert!(
+            (1..=3).contains(&block.k),
+            "fused blocks span 1 to 3 qubits"
+        );
+        assert_eq!(block.m.len(), block.dim() * block.dim(), "block size");
+        let body = Body::Orbits(Orbits::dense(n, qubits), OrbitOp::Block(&block.m));
+        Sweep { n, body }
+    }
+
+    fn layer(n: usize, mats: &'a [Mat2], qubits: &[usize]) -> Sweep<'a> {
+        assert_eq!(mats.len(), qubits.len(), "layer factor count mismatch");
+        assert!(
+            !qubits.is_empty() && qubits.len() <= MAX_1Q_LAYER_QUBITS,
+            "fused 1q layers are limited to {MAX_1Q_LAYER_QUBITS} qubits"
+        );
+        let body = Body::Orbits(Orbits::dense(n, qubits), OrbitOp::Layer(mats));
+        Sweep { n, body }
+    }
+
+    /// Work units: orbit pairs, or amplitude pairs for a fused diagonal.
+    fn units(&self) -> usize {
+        match &self.body {
+            Body::Orbits(o, _) => (1usize << (self.n - o.mask.count_ones() as usize)).div_ceil(2),
+            Body::FusedDiag(_) => 1usize << (self.n - 1),
         }
-        for l in 0..DIM {
-            *buf.get_unchecked_mut(l) = *amps.add(base | *off.get_unchecked(l));
+    }
+
+    /// Runs units `lo..hi` on `isa`, dispatching once per range.
+    ///
+    /// # Safety
+    ///
+    /// As [`Sweep::range`]; `isa` must be available on this host.
+    unsafe fn range_on(&self, isa: KernelIsa, amps: *mut C64, lo: usize, hi: usize) {
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            KernelIsa::Avx2 => avx2_range(self, amps, lo, hi),
+            _ => self.range::<Portable>(amps, lo, hi),
         }
-        for (j, [[m00, m01], [m10, m11]]) in m.into_iter().enumerate() {
-            let bit = 1usize << j;
-            let mut b = 0usize;
-            while b < DIM {
-                for l in b..b + bit {
-                    let x = *buf.get_unchecked(l);
-                    let y = *buf.get_unchecked(l | bit);
-                    *buf.get_unchecked_mut(l) = m00 * x + m01 * y;
-                    *buf.get_unchecked_mut(l | bit) = m10 * x + m11 * y;
+    }
+
+    /// The kernel's range loop, written once over the lane type.
+    ///
+    /// # Safety
+    ///
+    /// `amps` must point to the `2^n` amplitudes of the register the sweep
+    /// was built for, with exclusive access to those units `lo..hi <=
+    /// units()` touch, and `L`'s instruction set must be available.
+    #[inline(always)]
+    unsafe fn range<L: Lane>(&self, amps: *mut C64, lo: usize, hi: usize) {
+        let (o, op) = match &self.body {
+            Body::FusedDiag(d) => return d.range::<L>(amps, lo, hi),
+            Body::Orbits(o, op) => (o, op),
+        };
+        // The per-orbit updates below are closures; `#[inline(always)]`
+        // keeps them inside the caller, which for AVX2 is the one function
+        // compiled with the feature enabled.
+        match *op {
+            OrbitOp::Rotate(ref m) => {
+                let [[m00, m01], [m10, m11]] = coef_mat2::<L>(m);
+                o.sweep(
+                    amps,
+                    lo,
+                    hi,
+                    #[inline(always)]
+                    |[a0, a1]: [L; 2]| {
+                        [
+                            a0.scale(m00).add(a1.scale(m01)),
+                            a0.scale(m10).add(a1.scale(m11)),
+                        ]
+                    },
+                )
+            }
+            OrbitOp::Scale(c0, c1) => {
+                let (c0, c1) = (L::coef(c0), L::coef(c1));
+                o.sweep(
+                    amps,
+                    lo,
+                    hi,
+                    #[inline(always)]
+                    |[a0, a1]: [L; 2]| [a0.scale(c0), a1.scale(c1)],
+                )
+            }
+            OrbitOp::AntiDiag(c0, c1) => {
+                let (c0, c1) = (L::coef(c0), L::coef(c1));
+                o.sweep(
+                    amps,
+                    lo,
+                    hi,
+                    #[inline(always)]
+                    |[a0, a1]: [L; 2]| [a1.scale(c0), a0.scale(c1)],
+                )
+            }
+            OrbitOp::Exchange => o.sweep(
+                amps,
+                lo,
+                hi,
+                #[inline(always)]
+                |[a0, a1]: [L; 2]| [a1, a0],
+            ),
+            OrbitOp::Phase(p) => {
+                let p = L::coef(p);
+                o.sweep(
+                    amps,
+                    lo,
+                    hi,
+                    #[inline(always)]
+                    |[a]: [L; 1]| [a.scale(p)],
+                )
+            }
+            OrbitOp::Dense2q(m) => {
+                let mut r = [[L::coef(C64::ZERO); 4]; 4];
+                for i in 0..16 {
+                    r[i / 4][i % 4] = L::coef(m.0[i / 4][i % 4]);
                 }
-                b += bit << 1;
+                o.sweep(
+                    amps,
+                    lo,
+                    hi,
+                    #[inline(always)]
+                    |a: [L; 4]| {
+                        let mut out = a;
+                        for (o, m) in out.iter_mut().zip(&r) {
+                            let s = a[0].scale(m[0]).add(a[1].scale(m[1]));
+                            *o = s.add(a[2].scale(m[2])).add(a[3].scale(m[3]));
+                        }
+                        out
+                    },
+                )
             }
-        }
-        for l in 0..DIM {
-            *amps.add(base | *off.get_unchecked(l)) = *buf.get_unchecked(l);
+            OrbitOp::Block(m) => match o.dim {
+                2 => block_pass::<L, 2>(o, m, amps, lo, hi),
+                4 => block_pass::<L, 4>(o, m, amps, lo, hi),
+                _ => block_pass::<L, 8>(o, m, amps, lo, hi),
+            },
+            OrbitOp::Layer(mats) => match mats.len() {
+                1 => layer_pass::<L, 1, 2>(o, mats, amps, lo, hi),
+                2 => layer_pass::<L, 2, 4>(o, mats, amps, lo, hi),
+                3 => layer_pass::<L, 3, 8>(o, mats, amps, lo, hi),
+                _ => layer_pass::<L, 4, 16>(o, mats, amps, lo, hi),
+            },
         }
     }
 }
 
-/// Chunk-parallel dense kernels over `std::thread::scope`.
+/// [`Sweep::range`] compiled for AVX2.
 ///
-/// Each worker owns a disjoint range of *orbit indices*; since the orbit
-/// index ↔ basis indices mapping is a bijection, no two workers ever touch
-/// the same amplitude, and because every orbit's update is the same
-/// floating-point expression regardless of which thread runs it, the result
-/// is bit-identical to the serial kernels for any thread count.
+/// # Safety
 ///
-/// (The project vendors no `rayon`; scoped threads give the same chunked
-/// fork-join shape with zero dependencies.)
-pub mod par {
-    use super::{insert_bit, insert_two_bits, StateVector};
-    use cqasm::math::{Mat2, Mat4, C64};
-    use cqasm::{BlockUnitary, FusedDiagonal};
+/// As [`Sweep::range`], on a host with AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn avx2_range(sweep: &Sweep, amps: *mut C64, lo: usize, hi: usize) {
+    sweep.range::<Avx2>(amps, lo, hi)
+}
 
-    /// A raw amplitude pointer that may cross thread boundaries. Safety is
-    /// argued at each use site: workers write disjoint index sets.
-    struct AmpsPtr(*mut cqasm::math::C64);
-    unsafe impl Send for AmpsPtr {}
-    unsafe impl Sync for AmpsPtr {}
+/// Where an orbit kernel's amplitudes sit. The orbit index enumerates the
+/// basis bits outside `mask`; local amplitude `l` of the orbit with base
+/// `b` (every `mask` bit clear) sits at `b | offsets[l]`.
+struct Orbits {
+    mask: usize,
+    offsets: [usize; MAX_ORBIT_DIM],
+    /// Amplitudes per orbit.
+    dim: usize,
+    /// Basis offset from orbit `2u` to orbit `2u + 1`, the lowest bit
+    /// outside `mask`; 0 when there is one orbit (a pair is then that
+    /// orbit twice).
+    pair: usize,
+}
 
-    /// [`StateVector::apply_1q`] with the amplitude pairs split across
-    /// `threads` workers. Exposed so tests can force a thread count on
-    /// registers below the automatic threshold.
-    pub fn apply_1q_threaded(state: &mut StateVector, m: &Mat2, q: usize, threads: usize) {
-        let pairs = state.amps.len() >> 1;
-        let threads = threads.clamp(1, pairs.max(1));
-        if threads <= 1 {
-            state.apply_1q_range(m, q, 0, pairs);
-            return;
+impl Orbits {
+    /// Orbits that skip the basis bits `bits`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a bit is out of range or repeated, or an offset sets a
+    /// bit outside `bits`.
+    fn new(n: usize, bits: &[usize], offsets: &[usize]) -> Orbits {
+        let mask = support_mask(n, bits);
+        assert!(offsets.len() <= MAX_ORBIT_DIM && offsets.iter().all(|&o| o & !mask == 0));
+        let mut table = [0usize; MAX_ORBIT_DIM];
+        table[..offsets.len()].copy_from_slice(offsets);
+        Orbits {
+            mask,
+            offsets: table,
+            dim: offsets.len(),
+            pair: if bits.len() < n {
+                !mask & (mask + 1)
+            } else {
+                0
+            },
         }
-        let bit = 1usize << q;
-        let [[m00, m01], [m10, m11]] = m.0;
-        let amps = AmpsPtr(state.amps.as_mut_ptr());
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let lo = pairs * t / threads;
-                let hi = pairs * (t + 1) / threads;
-                let amps = &amps;
-                scope.spawn(move || {
-                    let base = amps.0;
-                    for p in lo..hi {
-                        let i0 = insert_bit(p, q);
-                        let i1 = i0 | bit;
-                        // SAFETY: `p -> (i0, i1)` is injective with disjoint
-                        // images across pair indices, and the `lo..hi`
-                        // ranges partition `0..pairs`, so no other worker
-                        // reads or writes these two amplitudes.
-                        unsafe {
-                            let a0 = *base.add(i0);
-                            let a1 = *base.add(i1);
-                            *base.add(i0) = m00 * a0 + m01 * a1;
-                            *base.add(i1) = m10 * a0 + m11 * a1;
-                        }
-                    }
-                });
-            }
-        });
     }
 
-    /// [`StateVector::apply_2q`] with the four-element orbits split across
-    /// `threads` workers. Exposed so tests can force a thread count on
-    /// registers below the automatic threshold.
+    /// The `2^k`-amplitude orbits of the support qubits: local index bit
+    /// `j` is the state of `support[j]`.
+    fn dense(n: usize, support: &[usize]) -> Orbits {
+        assert!(
+            support.len() <= MAX_1Q_LAYER_QUBITS,
+            "orbit support too wide"
+        );
+        let dim = 1usize << support.len();
+        let mut offsets = [0usize; MAX_ORBIT_DIM];
+        for (l, off) in offsets[..dim].iter_mut().enumerate() {
+            for (j, &q) in support.iter().enumerate() {
+                if l >> j & 1 == 1 {
+                    *off |= 1usize << q;
+                }
+            }
+        }
+        Orbits::new(n, support, &offsets[..dim])
+    }
+
+    /// Applies `op` to the orbit pairs in `lo..hi`. Pair `u` is orbits `2u`
+    /// and `2u + 1`, whose same-index amplitudes share one lane; they are
+    /// adjacent in memory unless a support qubit is qubit 0, when the pair
+    /// straddles the lowest free bit instead.
+    ///
+    /// # Safety
+    ///
+    /// As [`Sweep::range`], with `D == self.dim`.
+    #[inline(always)]
+    unsafe fn sweep<L: Lane, const D: usize>(
+        &self,
+        amps: *mut C64,
+        lo: usize,
+        hi: usize,
+        op: impl Fn([L; D]) -> [L; D],
+    ) {
+        if self.pair == 1 {
+            self.walk::<L, D, true>(amps, lo, hi, op)
+        } else {
+            self.walk::<L, D, false>(amps, lo, hi, op)
+        }
+    }
+
+    /// [`Orbits::sweep`] with the pair's amplitudes `ADJACENT` in memory
+    /// (one full-width load and store per lane) or not.
+    ///
+    /// # Safety
+    ///
+    /// As [`Orbits::sweep`], with `ADJACENT == (self.pair == 1)`.
+    #[inline(always)]
+    unsafe fn walk<L: Lane, const D: usize, const ADJACENT: bool>(
+        &self,
+        amps: *mut C64,
+        lo: usize,
+        hi: usize,
+        op: impl Fn([L; D]) -> [L; D],
+    ) {
+        debug_assert_eq!(D, self.dim);
+        let mut off = [0usize; D];
+        off.copy_from_slice(&self.offsets[..D]);
+        let mask = self.mask;
+        let mut base = deposit(2 * lo, mask);
+        for _ in lo..hi {
+            let pair = base | self.pair;
+            let mut a = [L::zero(); D];
+            for l in 0..D {
+                a[l] = if ADJACENT {
+                    L::load(amps.add(base | off[l]))
+                } else {
+                    L::gather(amps.add(base | off[l]), amps.add(pair | off[l]))
+                };
+            }
+            let b = op(a);
+            for l in 0..D {
+                if ADJACENT {
+                    b[l].store(amps.add(base | off[l]));
+                } else {
+                    b[l].scatter(amps.add(base | off[l]), amps.add(pair | off[l]));
+                }
+            }
+            // The next orbit base: increment the bits outside `mask`.
+            base = ((pair | mask) + 1) & !mask;
+        }
+    }
+}
+
+/// The entries of a 2x2 matrix, prepared for [`Lane::scale`].
+///
+/// # Safety
+///
+/// `L`'s instruction set must be available.
+#[inline(always)]
+unsafe fn coef_mat2<L: Lane>(m: &Mat2) -> [[L::Coef; 2]; 2] {
+    let [[m00, m01], [m10, m11]] = m.0;
+    [[L::coef(m00), L::coef(m01)], [L::coef(m10), L::coef(m11)]]
+}
+
+/// The dense `D x D` block pass: each output is `0 + m[r][0] a0 + ...`,
+/// accumulated left to right.
+///
+/// # Safety
+///
+/// As [`Orbits::sweep`]; `m` holds `D * D` entries.
+#[inline(always)]
+unsafe fn block_pass<L: Lane, const D: usize>(
+    o: &Orbits,
+    m: &[C64],
+    amps: *mut C64,
+    lo: usize,
+    hi: usize,
+) {
+    let zero = L::zero();
+    let mut lanes = [[L::coef(C64::ZERO); D]; D];
+    for r in 0..D {
+        for c in 0..D {
+            lanes[r][c] = L::coef(m[r * D + c]);
+        }
+    }
+    o.sweep(
+        amps,
+        lo,
+        hi,
+        #[inline(always)]
+        |a: [L; D]| {
+            let mut out = [zero; D];
+            for r in 0..D {
+                for c in 0..D {
+                    out[r] = out[r].add(a[c].scale(lanes[r][c]));
+                }
+            }
+            out
+        },
+    )
+}
+
+/// The factored 1q-layer pass over `K` factors: factor `j` rotates the
+/// amplitude pairs split by local bit `j`, in factor order.
+///
+/// # Safety
+///
+/// As [`Orbits::sweep`]; `mats` holds `K` factors and `D == 2^K`.
+#[inline(always)]
+unsafe fn layer_pass<L: Lane, const K: usize, const D: usize>(
+    o: &Orbits,
+    mats: &[Mat2],
+    amps: *mut C64,
+    lo: usize,
+    hi: usize,
+) {
+    let mut m = [[[L::coef(C64::ZERO); 2]; 2]; K];
+    for j in 0..K {
+        m[j] = coef_mat2::<L>(&mats[j]);
+    }
+    o.sweep(
+        amps,
+        lo,
+        hi,
+        #[inline(always)]
+        |mut a: [L; D]| {
+            for (j, &[[m00, m01], [m10, m11]]) in m.iter().enumerate() {
+                let bit = 1usize << j;
+                for l in 0..D {
+                    if l & bit == 0 {
+                        let (x, y) = (a[l], a[l | bit]);
+                        a[l] = x.scale(m00).add(y.scale(m01));
+                        a[l | bit] = x.scale(m10).add(y.scale(m11));
+                    }
+                }
+            }
+            a
+        },
+    )
+}
+
+/// A fused diagonal's sweep: amplitude `i` is scaled by
+/// `entries[pattern(i)]`, where bit `j` of the pattern is the state of
+/// `qubits[j]`. The contributions of the basis bits below `low` come from
+/// a table built once per call; the bits at or above it only change every
+/// `2^low` amplitudes, so the hot loop is a table load, an OR and a
+/// complex multiply per amplitude. Work unit `u` is amplitudes `2u, 2u+1`.
+///
+/// When every entry with some support bit clear is exactly 1 (a ladder of
+/// controlled phases sharing a control, as in the QFT), the amplitudes
+/// with that bit clear are skipped: multiplying by exactly 1 returns the
+/// amplitude itself (up to the sign of an exact zero), so only the
+/// memory traffic changes.
+struct DiagTable<'a> {
+    entries: &'a [C64],
+    qubits: &'a [usize],
+    low: usize,
+    table: Vec<u16>,
+    /// Whether amplitudes `2u` and `2u + 1` always share an entry (qubit 0
+    /// is outside the support).
+    shared: bool,
+    /// A support bit (of qubit 2 or higher) whose clear half of the table
+    /// is exactly 1: amplitudes with that bit clear are left as they are.
+    skip: usize,
+}
+
+impl<'a> DiagTable<'a> {
+    /// # Panics
+    ///
+    /// Panics if the support is empty, wider than 16 qubits, has a
+    /// repeated or out-of-range qubit, or does not match `entries`.
+    fn new(n: usize, entries: &'a [C64], qubits: &'a [usize]) -> DiagTable<'a> {
+        const LOW_BITS_MAX: usize = 11;
+        assert!(
+            (1..=16).contains(&qubits.len()) && entries.len() == 1 << qubits.len(),
+            "a fused diagonal needs 2^k entries over 1..=16 support qubits"
+        );
+        support_mask(n, qubits);
+        let low = n.min(LOW_BITS_MAX);
+        let mut bit_pattern = [0u16; LOW_BITS_MAX];
+        for (j, &q) in qubits.iter().enumerate() {
+            if q < low {
+                bit_pattern[q] = 1 << j;
+            }
+        }
+        let mut table = vec![0u16; 1 << low];
+        for i in 1..table.len() {
+            table[i] = table[i & (i - 1)] | bit_pattern[i.trailing_zeros() as usize];
+        }
+        let identity_when_clear = |j: usize| {
+            (0..entries.len())
+                .filter(|p| p >> j & 1 == 0)
+                .all(|p| entries[p] == C64::ONE)
+        };
+        let skip = (0..qubits.len())
+            .filter(|&j| qubits[j] >= 2 && identity_when_clear(j))
+            .map(|j| 1usize << qubits[j])
+            .max()
+            .unwrap_or(0);
+        DiagTable {
+            entries,
+            qubits,
+            low,
+            table,
+            shared: !qubits.contains(&0),
+            skip,
+        }
+    }
+
+    /// # Safety
+    ///
+    /// As [`Sweep::range`].
+    #[inline(always)]
+    unsafe fn range<L: Lane>(&self, amps: *mut C64, lo: usize, hi: usize) {
+        let low_mask = (1usize << self.low) - 1;
+        let entries = self.entries.as_ptr();
+        let table = self.table.as_ptr();
+        let skip = self.skip;
+        let (mut i, end) = (2 * lo, 2 * hi);
+        while i < end {
+            let mut run_end = end.min((i | low_mask) + 1);
+            if skip != 0 {
+                if i & skip == 0 {
+                    i = (i | skip) & !(skip - 1);
+                    continue;
+                }
+                run_end = run_end.min((i | (skip - 1)) + 1);
+            }
+            let mut high = 0usize;
+            for (j, &q) in self.qubits.iter().enumerate() {
+                if q >= self.low {
+                    high |= ((i >> q) & 1) << j;
+                }
+            }
+            while i < run_end {
+                // `i` is even and `low >= 1`, so `i + 1` shares `high`.
+                let e0 = entries.add(high | *table.add(i & low_mask) as usize);
+                let a = L::load(amps.add(i));
+                let out = if self.shared {
+                    a.scale(L::coef(*e0))
+                } else {
+                    let e1 = entries.add(high | *table.add((i + 1) & low_mask) as usize);
+                    a.cmul(L::gather(e0, e1))
+                };
+                out.store(amps.add(i));
+                i += 2;
+            }
+        }
+    }
+}
+
+/// Thread-forced entry points, so tests can split registers below the
+/// automatic threshold.
+pub mod par {
+    use super::{kernel_isa, StateVector};
+    use cqasm::math::{Mat2, Mat4};
+    use cqasm::KernelClass;
+
+    /// [`StateVector::apply_1q`] split across `threads` threads.
+    pub fn apply_1q_threaded(state: &mut StateVector, m: &Mat2, q: usize, threads: usize) {
+        state.apply_kernel_with(&KernelClass::General1q(*m), &[q], kernel_isa(), threads);
+    }
+
+    /// [`StateVector::apply_2q`] split across `threads` threads.
     pub fn apply_2q_threaded(
         state: &mut StateVector,
         m: &Mat4,
@@ -1033,273 +1264,8 @@ pub mod par {
         q_lo: usize,
         threads: usize,
     ) {
-        let orbits = state.amps.len() >> 2;
-        let threads = threads.clamp(1, orbits.max(1));
-        if threads <= 1 {
-            state.apply_2q_range(m, q_hi, q_lo, 0, orbits);
-            return;
-        }
-        let bh = 1usize << q_hi;
-        let bl = 1usize << q_lo;
-        let (p0, p1) = if q_hi < q_lo {
-            (q_hi, q_lo)
-        } else {
-            (q_lo, q_hi)
-        };
-        let mm = m.0;
-        let amps = AmpsPtr(state.amps.as_mut_ptr());
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let lo = orbits * t / threads;
-                let hi = orbits * (t + 1) / threads;
-                let amps = &amps;
-                scope.spawn(move || {
-                    let base = amps.0;
-                    for k in lo..hi {
-                        let i00 = insert_two_bits(k, p0, p1);
-                        let i01 = i00 | bl;
-                        let i10 = i00 | bh;
-                        let i11 = i00 | bh | bl;
-                        // SAFETY: orbit index `k` maps to four basis indices
-                        // disjoint from every other orbit's, and the
-                        // `lo..hi` ranges partition `0..orbits`.
-                        unsafe {
-                            let a0 = *base.add(i00);
-                            let a1 = *base.add(i01);
-                            let a2 = *base.add(i10);
-                            let a3 = *base.add(i11);
-                            *base.add(i00) =
-                                mm[0][0] * a0 + mm[0][1] * a1 + mm[0][2] * a2 + mm[0][3] * a3;
-                            *base.add(i01) =
-                                mm[1][0] * a0 + mm[1][1] * a1 + mm[1][2] * a2 + mm[1][3] * a3;
-                            *base.add(i10) =
-                                mm[2][0] * a0 + mm[2][1] * a1 + mm[2][2] * a2 + mm[2][3] * a3;
-                            *base.add(i11) =
-                                mm[3][0] * a0 + mm[3][1] * a1 + mm[3][2] * a2 + mm[3][3] * a3;
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    /// [`StateVector::apply_controlled_1q`] with the fixed-bit orbit pairs
-    /// split across `threads` workers. Exposed so tests can force a thread
-    /// count on registers below the automatic threshold.
-    pub fn apply_controlled_1q_threaded(
-        state: &mut StateVector,
-        m: &Mat2,
-        controls: &[usize],
-        target: usize,
-        threads: usize,
-    ) {
-        let mut fixed: Vec<(usize, usize)> = controls.iter().map(|&c| (c, 1)).collect();
-        fixed.push((target, 0));
-        fixed.sort_unstable();
-        let pairs = state.amps.len() >> fixed.len();
-        let threads = threads.clamp(1, pairs.max(1));
-        if threads <= 1 {
-            state.apply_controlled_1q_range(m, &fixed, target, 0, pairs);
-            return;
-        }
-        let tbit = 1usize << target;
-        let [[m00, m01], [m10, m11]] = m.0;
-        let fixed = &fixed;
-        let amps = AmpsPtr(state.amps.as_mut_ptr());
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let lo = pairs * t / threads;
-                let hi = pairs * (t + 1) / threads;
-                let amps = &amps;
-                scope.spawn(move || {
-                    let base = amps.0;
-                    for k in lo..hi {
-                        let mut i0 = k;
-                        for &(pos, val) in fixed {
-                            i0 = ((i0 >> pos) << (pos + 1))
-                                | (val << pos)
-                                | (i0 & ((1usize << pos) - 1));
-                        }
-                        let i1 = i0 | tbit;
-                        // SAFETY: the fixed-bit expansion is injective with
-                        // disjoint `(i0, i1)` images across pair indices,
-                        // and `lo..hi` ranges partition `0..pairs`.
-                        unsafe {
-                            let a0 = *base.add(i0);
-                            let a1 = *base.add(i1);
-                            *base.add(i0) = m00 * a0 + m01 * a1;
-                            *base.add(i1) = m10 * a0 + m11 * a1;
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    /// [`StateVector::apply_fused_diag`] with the amplitude range split
-    /// across `threads` workers. Exposed so tests can force a thread count
-    /// on registers below the automatic threshold.
-    pub fn apply_fused_diag_threaded(
-        state: &mut StateVector,
-        diag: &FusedDiagonal,
-        qubits: &[usize],
-        threads: usize,
-    ) {
-        let len = state.amps.len();
-        let threads = threads.clamp(1, len.max(1));
-        if threads <= 1 {
-            state.apply_fused_diag_range(&diag.entries, qubits, 0, len);
-            return;
-        }
-        let entries = &diag.entries;
-        // Same low-bits pattern table as the serial pass (see
-        // `apply_fused_diag_range`), built once and shared by the workers.
-        const LOW_BITS_MAX: usize = 11;
-        let split = state.n.min(LOW_BITS_MAX);
-        let low_len = 1usize << split;
-        let mut low_table = vec![0u16; low_len];
-        for (low_bits, slot) in low_table.iter_mut().enumerate() {
-            let mut pat = 0usize;
-            for (j, &q) in qubits.iter().enumerate() {
-                if q < split {
-                    pat |= ((low_bits >> q) & 1) << j;
-                }
-            }
-            *slot = pat as u16;
-        }
-        let low_table = &low_table;
-        let amps = AmpsPtr(state.amps.as_mut_ptr());
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let lo = len * t / threads;
-                let hi = len * (t + 1) / threads;
-                let amps = &amps;
-                scope.spawn(move || {
-                    let base = amps.0;
-                    let mut i = lo;
-                    while i < hi {
-                        let mut high_pat = 0usize;
-                        for (j, &q) in qubits.iter().enumerate() {
-                            if q >= split {
-                                high_pat |= ((i >> q) & 1) << j;
-                            }
-                        }
-                        let run_end = hi.min((i | (low_len - 1)) + 1);
-                        for idx in i..run_end {
-                            let pat = high_pat | low_table[idx & (low_len - 1)] as usize;
-                            // SAFETY: each worker touches only its own
-                            // `lo..hi` amplitude range; the ranges
-                            // partition `0..len`.
-                            unsafe {
-                                *base.add(idx) *= entries[pat];
-                            }
-                        }
-                        i = run_end;
-                    }
-                });
-            }
-        });
-    }
-
-    /// [`StateVector::apply_block`] with the `2^k`-element orbits split
-    /// across `threads` workers. Exposed so tests can force a thread count
-    /// on registers below the automatic threshold.
-    pub fn apply_block_threaded(
-        state: &mut StateVector,
-        block: &BlockUnitary,
-        qubits: &[usize],
-        threads: usize,
-    ) {
-        let orbits = state.amps.len() >> block.k;
-        let threads = threads.clamp(1, orbits.max(1));
-        if threads <= 1 {
-            state.apply_block_range(block, qubits, 0, orbits);
-            return;
-        }
-        let dim = block.dim();
-        let mut sorted: Vec<usize> = qubits.to_vec();
-        sorted.sort_unstable();
-        let mut offsets = [0usize; 8];
-        for (l, off) in offsets.iter_mut().enumerate().take(dim) {
-            for (j, &q) in qubits.iter().enumerate() {
-                if (l >> j) & 1 == 1 {
-                    *off |= 1usize << q;
-                }
-            }
-        }
-        let sorted = &sorted;
-        let m = &block.m;
-        let amps = AmpsPtr(state.amps.as_mut_ptr());
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let lo = orbits * t / threads;
-                let hi = orbits * (t + 1) / threads;
-                let amps = &amps;
-                scope.spawn(move || {
-                    let base_ptr = amps.0;
-                    let mut a = [C64::ZERO; 8];
-                    for k in lo..hi {
-                        let mut base = k;
-                        for &p in sorted {
-                            base = insert_bit(base, p);
-                        }
-                        // SAFETY: orbit index `k` maps to `2^k` basis
-                        // indices disjoint from every other orbit's, and
-                        // the `lo..hi` ranges partition `0..orbits`.
-                        unsafe {
-                            for (l, slot) in a.iter_mut().enumerate().take(dim) {
-                                *slot = *base_ptr.add(base | offsets[l]);
-                            }
-                            for r in 0..dim {
-                                let mut acc = C64::ZERO;
-                                for (c, amp) in a.iter().enumerate().take(dim) {
-                                    acc += m[r * dim + c] * *amp;
-                                }
-                                *base_ptr.add(base | offsets[r]) = acc;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    /// [`StateVector::apply_1q_layer`] with the `2^k`-element orbits split
-    /// across `threads` workers. Exposed so tests can force a thread count
-    /// on registers below the automatic threshold.
-    pub fn apply_1q_layer_threaded(
-        state: &mut StateVector,
-        mats: &[Mat2],
-        qubits: &[usize],
-        threads: usize,
-    ) {
-        let orbits = state.amps.len() >> qubits.len();
-        let threads = threads.clamp(1, orbits.max(1));
-        let (sorted, offsets) = super::layer_tables(qubits);
-        if threads <= 1 {
-            // SAFETY: exclusive `&mut` access, full in-bounds orbit range.
-            unsafe {
-                super::layer_pass_raw(state.amps.as_mut_ptr(), mats, &sorted, &offsets, 0, orbits);
-            }
-            return;
-        }
-        let sorted = &sorted;
-        let offsets = &offsets;
-        let amps = AmpsPtr(state.amps.as_mut_ptr());
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let lo = orbits * t / threads;
-                let hi = orbits * (t + 1) / threads;
-                let amps = &amps;
-                scope.spawn(move || {
-                    // SAFETY: orbit indices map to disjoint basis-index
-                    // sets; the orbit ranges partition `0..orbits`.
-                    unsafe {
-                        super::layer_pass_raw(amps.0, mats, sorted, offsets, lo, hi);
-                    }
-                });
-            }
-        });
+        let kernel = KernelClass::General2q(*m);
+        state.apply_kernel_with(&kernel, &[q_hi, q_lo], kernel_isa(), threads);
     }
 }
 
@@ -1824,20 +1790,24 @@ mod tests {
         for threads in [2, 3, 8] {
             let mut a = random_state(7, 101);
             let mut b = a.clone();
+            let isa = KernelIsa::host();
             a.apply_controlled_1q(&tof, &[1, 5], 3);
-            par::apply_controlled_1q_threaded(&mut b, &tof, &[1, 5], 3, threads);
+            let kernel = KernelClass::ControlledControlled(tof);
+            b.apply_kernel_with(&kernel, &[1, 5, 3], isa, threads);
             assert_eq!(a, b, "controlled 1q, {threads} threads");
 
             let mut a = random_state(7, 102);
             let mut b = a.clone();
             a.apply_fused_diag(&diag, &[2, 4, 6]);
-            par::apply_fused_diag_threaded(&mut b, &diag, &[2, 4, 6], threads);
+            let kernel = KernelClass::FusedDiag(diag.clone());
+            b.apply_kernel_with(&kernel, &[2, 4, 6], isa, threads);
             assert_eq!(a, b, "fused diag, {threads} threads");
 
             let mut a = random_state(7, 103);
             let mut b = a.clone();
             a.apply_block(&block, &[5, 0, 3]);
-            par::apply_block_threaded(&mut b, &block, &[5, 0, 3], threads);
+            let kernel = KernelClass::FusedBlock(block.clone());
+            b.apply_kernel_with(&kernel, &[5, 0, 3], isa, threads);
             assert_eq!(a, b, "fused block, {threads} threads");
         }
     }
@@ -1881,12 +1851,12 @@ mod tests {
     fn bit_insertion_expands_correctly() {
         assert_eq!(insert_bit(0b101, 1), 0b1001);
         assert_eq!(insert_bit(0b101, 0), 0b1010);
-        assert_eq!(insert_two_bits(0b11, 0, 2), 0b1010);
+        assert_eq!(deposit(0b11, 0b101), 0b1010);
         // Every expanded index has the inserted bits clear and the mapping
         // is injective.
         let mut seen = std::collections::HashSet::new();
         for k in 0..16usize {
-            let i = insert_two_bits(k, 1, 3);
+            let i = deposit(k, 0b1010);
             assert_eq!(i & 0b1010, 0, "k={k} -> {i:b}");
             assert!(seen.insert(i));
         }
